@@ -97,12 +97,13 @@ def _cmd_shapley(args, out) -> None:
 def _cmd_dividends(args, out) -> None:
     g = _load_game(args.game)
     dividends = harsanyi_dividends(g)
+    nums = dividends.nums
     entries = [
         (",".join(str(i) for i in members(mask)), _render(dividends[mask]))
         for mask in range(1, 1 << g.n)
-        if dividends[mask] != 0
+        if nums[mask] != 0
     ]
-    total = _render(sum((d for d in dividends), Fraction(0)))
+    total = _render(Fraction(sum(nums), dividends.den))
     lines = [f"coalition {ix} {val}" for ix, val in entries] + [f"total {total}"]
     _emit(out, args.format, "dividends", g.n, entries, total, lines=lines)
 

@@ -11,7 +11,6 @@ solver unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -23,7 +22,14 @@ from .errors import (
     TooManyParties,
     TooManyPlayers,
 )
-from .games import MAX_TABLE_PLAYERS, Game, IntVector, make_game, members
+from .games import (
+    MAX_TABLE_PLAYERS,
+    Game,
+    IntVector,
+    RationalTable,
+    coalition_sums,
+    game_from_weights,
+)
 from .isv import indivisible_shapley
 
 
@@ -84,12 +90,9 @@ def game_from_approvals(
     if seats < 1:
         raise InvalidRange(f"seat count must be >= 1, got {seats}")
     total = sum(mult for _, mult in profile.ballots)
-    entries = []
-    for mask in range(1, 1 << m):
-        covered = sum(mult for amask, mult in profile.ballots if amask & ~mask == 0)
-        if covered:
-            entries.append((mask, Fraction(seats * covered, total)))
-    return make_game(m, entries, max_players=max_parties)
+    # a coalition covers the voters of every ballot that is a subset of it
+    weights = ((amask, seats * mult) for amask, mult in profile.ballots)
+    return game_from_weights(m, weights, total, max_players=max_parties)
 
 
 def apportion_isv(profile: ApprovalProfile, seats: int) -> IntVector:
@@ -111,10 +114,13 @@ def dhondt(votes: Sequence[int], seats: int) -> IntVector:
         raise AllZeroVotes("at least one party needs a positive vote total")
     alloc = [0] * len(votes)
     for _ in range(seats):
-        best = max(
-            range(len(votes)),
-            key=lambda i: (Fraction(votes[i], alloc[i] + 1), votes[i], -i),
-        )
+        best = 0
+        for i in range(1, len(votes)):
+            # votes[i] / (alloc[i] + 1) against the best quotient so far
+            lhs = votes[i] * (alloc[best] + 1)
+            rhs = votes[best] * (alloc[i] + 1)
+            if lhs > rhs or (lhs == rhs and votes[i] > votes[best]):
+                best = i
         alloc[best] += 1
     return tuple(alloc)
 
@@ -146,15 +152,11 @@ def coalition_game_from_regions(
         for p in parties:
             if p < 0 or p >= len(region.votes):
                 raise PlayerOutOfRange(f"party {p} missing from a region's vote table")
-    entries = []
-    for mask in range(1, 1 << m):
-        total = 0
-        for region, outs in zip(rv.regions, outsiders):
-            merged = sum(region.votes[parties[i]] for i in members(mask))
-            lists = [merged, *outs]
-            if not any(lists):
-                continue
-            total += dhondt(lists, region.seats)[0]
-        if total:
-            entries.append((mask, Fraction(total)))
-    return make_game(m, entries, max_players=max_players)
+    table = [0] * (1 << m)
+    for region, outs in zip(rv.regions, outsiders):
+        merged = coalition_sums([region.votes[p] for p in parties])
+        for mask in range(1, 1 << m):
+            lists = [merged[mask], *outs]
+            if any(lists):
+                table[mask] += dhondt(lists, region.seats)[0]
+    return Game(m, RationalTable(table))

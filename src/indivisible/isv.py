@@ -20,10 +20,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import sub
 from typing import Sequence
 
 from .errors import EmptyFeasibleSet, InvalidRange, LengthMismatch, NotIndivisible
-from .games import Game, IntVector, floor_values, in_core, reduced_game, shapley_exact
+from .games import (
+    Game,
+    IntVector,
+    RationalTable,
+    coalition_sums,
+    floor_values,
+    in_core,
+    reduced_game,
+    shapley_exact,
+)
 
 # trace event kinds
 FLOOR = "floor"
@@ -65,16 +75,9 @@ def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
     trace: list[tuple[str, int, int]] = [(FLOOR, i, floors[i]) for i in range(g.n)]
 
     # subtract the additive floor game pointwise
-    table = list(g.values)
-    for i in range(g.n):
-        fi = floors[i]
-        if fi == 0:
-            continue
-        bit = 1 << i
-        for mask in range(1 << g.n):
-            if mask & bit:
-                table[mask] -= fi
-    cur = Game(g.n, tuple(table))
+    den = g.values.den
+    floor_sums = coalition_sums([f * den for f in floors])
+    cur = Game(g.n, RationalTable(map(sub, g.values.nums, floor_sums), den))
     alive = list(range(g.n))
 
     # strip players whose Shapley value was already an integer
@@ -91,13 +94,14 @@ def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
     payoffs = floors
     while cur.grand_value > 0:
         sv_cur = shapley_exact(cur)
-        grand_cur = cur.grand_value
+        nums, den = cur.values.nums, cur.values.den
+        grand_cur = nums[cur.full]
         pick = -1
         for p in order:
             if p not in alive:
                 continue
             li = alive.index(p)
-            if grand_cur >= cur.values[cur.full ^ (1 << li)] + 1 or sv_cur[li] > 0:
+            if grand_cur >= nums[cur.full ^ (1 << li)] + den or sv_cur[li] > 0:
                 pick = p
                 break
         if pick < 0:  # impossible: Shapley values sum to the positive grand value

@@ -27,7 +27,14 @@ from .errors import (
     NonIntegerResidue,
     PlayerOutOfRange,
 )
-from .games import MAX_TABLE_PLAYERS, Game, IntVector, RationalVector, make_game, members
+from .games import (
+    MAX_TABLE_PLAYERS,
+    Game,
+    IntVector,
+    RationalVector,
+    game_from_weights,
+    members,
+)
 from .isv import remainder_order
 
 
@@ -61,12 +68,7 @@ def owner_list(n: int, owner_sets: Iterable[Iterable[int]]) -> OwnerList:
 
 def game_from_owners(ol: OwnerList, *, max_players: int = MAX_TABLE_PLAYERS) -> Game:
     """The induced game: a coalition is worth the number of objects it owns."""
-    entries = []
-    for mask in range(1, 1 << ol.n):
-        count = sum(1 for s in ol.owners if s & ~mask == 0)
-        if count:
-            entries.append((mask, Fraction(count)))
-    return make_game(ol.n, entries, max_players=max_players)
+    return game_from_weights(ol.n, ((s, 1) for s in ol.owners), max_players=max_players)
 
 
 def shapley_from_owners(ol: OwnerList) -> RationalVector:
@@ -95,6 +97,7 @@ class MatchingGraph:
         self._object_owners = tuple(object_owners)
         self.copy_player: list[int] = []
         self._copy_objects: list[tuple[int, ...]] = []
+        self._player_objects: dict[int, tuple[int, ...]] = {}
         self.match_of_copy: list[int] = []
         self.match_of_object: list[int] = [_FREE] * len(object_owners)
 
@@ -110,9 +113,14 @@ class MatchingGraph:
         """Add an unmatched copy of a player; returns the new node id."""
         node = len(self.copy_player)
         self.copy_player.append(player)
-        self._copy_objects.append(
-            tuple(j for j, owners in enumerate(self._object_owners) if owners >> player & 1)
-        )
+        objects = self._player_objects.get(player)
+        if objects is None:
+            # built once per player; every copy of the player shares it
+            objects = tuple(
+                j for j, owners in enumerate(self._object_owners) if owners >> player & 1
+            )
+            self._player_objects[player] = objects
+        self._copy_objects.append(objects)
         self.match_of_copy.append(_FREE)
         return node
 

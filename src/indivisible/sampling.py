@@ -13,6 +13,7 @@ order, so running with one worker or many gives bit-identical results.
 
 from __future__ import annotations
 
+import math
 import re
 import shlex
 import subprocess
@@ -152,6 +153,8 @@ class SubprocessOracle(ValueOracle):
         if not _DECIMAL_RE.fullmatch(text):
             raise ProtocolViolation(f"malformed oracle reply {text!r} to query {query}")
         value = float(text)
+        if not math.isfinite(value):
+            raise ProtocolViolation(f"non-finite oracle reply {text!r} to query {query}")
         if mask == 0 and value != 0.0:
             raise ProtocolViolation(f"empty coalition must be worth 0, oracle said {text!r}")
         return value

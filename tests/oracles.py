@@ -93,6 +93,18 @@ def _respects_core(g: Game, x) -> bool:
     return True
 
 
+def is_supermodular(g: Game) -> bool:
+    """Convexity by definition: v(A) + v(B) <= v(A | B) + v(A & B) for every
+    pair of coalitions, O(4^n)."""
+    v = g.values
+    size = 1 << g.n
+    for a in range(size):
+        for b in range(a + 1, size):
+            if v[a] + v[b] > v[a | b] + v[a & b]:
+                return False
+    return True
+
+
 def random_game(rng: random.Random, n: int, denominator: int = 4) -> Game:
     """Arbitrary game with small rational values (may be wildly non-convex)."""
     entries = [

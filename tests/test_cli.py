@@ -22,6 +22,13 @@ for line in sys.stdin:
     sys.stdout.flush()
 """
 
+INFINITE_SCRIPT = """\
+import sys
+for line in sys.stdin:
+    print("0" if "1" not in line else "1e999")
+    sys.stdout.flush()
+"""
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -231,3 +238,10 @@ class TestExitCodes:
         res = run_cli("sample", "2", "--oracle", cmd, "--k", "4")
         assert res.returncode == 2
         assert "oracle" in res.stderr
+
+    def test_non_finite_reply_is_two(self, tmp_path):
+        cmd = oracle_command(tmp_path, INFINITE_SCRIPT)
+        res = run_cli("sample", "2", "--oracle", cmd, "--k", "4")
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "nan" not in res.stdout and "inf" not in res.stdout

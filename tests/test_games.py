@@ -30,11 +30,11 @@ from indivisible.errors import (
     PlayerOutOfRange,
     TooManyPlayers,
 )
-from indivisible.games import _is_convex_local, _is_convex_pairs
 
 from oracles import (
     dividends_recursive,
     floor_half_game,
+    is_supermodular,
     random_convex_int_game,
     random_game,
     random_sizebounded_convex_int_game,
@@ -282,10 +282,10 @@ class TestPredicates:
         rng = random.Random(29)
         for _ in range(40):
             g = random_game(rng, rng.randint(1, 7))
-            assert _is_convex_pairs(g) == _is_convex_local(g)
+            assert is_convex(g) == is_supermodular(g)
         for _ in range(10):
             g = random_convex_int_game(rng, rng.randint(2, 6))
-            assert _is_convex_pairs(g) and _is_convex_local(g)
+            assert is_convex(g) and is_supermodular(g)
 
     def test_positive(self):
         assert is_positive(two_goods_game())
@@ -393,3 +393,70 @@ class TestReducedGame:
         for _ in range(25):
             g = random_convex_int_game(rng, rng.randint(2, 7))
             assert in_core(g, shapley_exact(g))
+
+
+def reduction_reference(g, i, c):
+    """Reduced table computed entry by entry on Fractions."""
+    m = g.n - 1
+    table = [F(0)] * (1 << m)
+    for mask in range(1, 1 << m):
+        old = (mask & ((1 << i) - 1)) | ((mask >> i) << (i + 1))
+        if mask == (1 << m) - 1:
+            table[mask] = g.grand_value - c
+        else:
+            table[mask] = max(g.values[old | (1 << i)] - c, g.values[old])
+    return tuple(table)
+
+
+class TestRepresentation:
+    def test_fraction_table_equals_make_game(self):
+        g = Game(2, (F(0), F(1, 2), F(2, 3), F(7, 6)))
+        built = make_game(2, [(0b01, 0.5), (0b10, F(4, 6)), (0b11, "14/12")])
+        assert g == built
+        assert g.values.den == built.values.den == 6
+
+    def test_equal_after_denominator_shrinks(self):
+        g = make_game(2, [(0b01, F(1, 3)), (0b10, F(1)), (0b11, F(2))])
+        red = reduced_game(g, 0, F(0)).game
+        assert red == make_game(1, [(0b1, F(2))])
+        assert red.values.den == 1
+
+    def test_entries_are_fractions(self):
+        for g in (two_goods_game(), random_game(random.Random(3), 3)):
+            for mask in range(1 << g.n):
+                assert isinstance(g.values[mask], Fraction)
+                assert isinstance(g.value(mask), Fraction)
+            assert isinstance(harsanyi_dividends(g)[g.full], Fraction)
+
+    def test_reduced_game_fractional_price(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            g = random_game(rng, rng.randint(2, 6), denominator=rng.choice([1, 4, 6]))
+            i = rng.randrange(g.n)
+            c = F(rng.randint(0, 12), rng.choice([1, 5, 7]))
+            red = reduced_game(g, i, c).game
+            assert red.values == reduction_reference(g, i, c)
+
+    def test_twenty_players(self):
+        rng = random.Random(20)
+        n = 20
+        dividends = {}
+        while len(dividends) < 200:
+            dividends[coalition(rng.sample(range(n), rng.randint(8, 14)))] = rng.randint(1, 5)
+        table = [0] * (1 << n)
+        for mask, d in dividends.items():
+            rest = ((1 << n) - 1) ^ mask
+            sub = rest
+            while True:
+                table[mask | sub] += d
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+        g = make_game(n, [(m, v) for m, v in enumerate(table) if v])
+        found = harsanyi_dividends(g)
+        assert {m: d for m, d in enumerate(found) if d} == dividends
+        expected = [F(0)] * n
+        for mask, d in dividends.items():
+            for i in members(mask):
+                expected[i] += F(d, mask.bit_count())
+        assert shapley_exact(g) == tuple(expected)
