@@ -143,7 +143,6 @@ def _sampler_config(args) -> SamplerConfig:
     return SamplerConfig(
         samples=args.k,
         seed=args.seed,
-        workers=args.workers,
         exhaustive=args.exhaustive,
     )
 
@@ -242,7 +241,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--oracle", required=True, help="oracle command line")
     p.add_argument("--k", type=int, default=10_000, help="number of sampled permutations")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--matrix", action="store_true", help="estimate the synergy matrix")
     p.add_argument("--exhaustive", action="store_true", help="enumerate all permutations")
     p.set_defaults(fn=_cmd_sample)
@@ -254,7 +252,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--k", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(fn=_cmd_large)
 

@@ -6,9 +6,10 @@ queries use the same bit-mask encoding as the exact modules.
 
 Determinism contract: the estimators are pure functions of
 ``(oracle, samples, seed)``.  Permutation ``t`` is generated from
-``(seed, t)`` by a counter-based splitmix64 stream, permutations are
-processed in fixed-size chunks, and chunk partials are merged in chunk
-order, so running with one worker or many gives bit-identical results.
+``(seed, t)`` by a counter-based splitmix64 stream, and permutations are
+summed in fixed-size chunks whose partials are merged in chunk order.
+That fixes the float summation order, so the same inputs and seed give
+bit-identical estimates on every run.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import math
 import re
 import shlex
 import subprocess
-import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Sequence
@@ -35,6 +34,7 @@ from .errors import (
 from .games import Game
 
 _CHUNK = 2048  # permutations per accumulation chunk; fixed for determinism
+_MEMO_SIZE = 1 << 20  # coalitions kept by MemoOracle
 _MASK64 = (1 << 64) - 1
 _EXHAUSTIVE_CAP = 9
 _DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
@@ -81,32 +81,29 @@ class FunctionOracle(ValueOracle):
 
 
 class MemoOracle(ValueOracle):
-    """LRU-cached view of another oracle; safe for concurrent queries."""
+    """LRU-cached view of another oracle, keeping ``_MEMO_SIZE`` coalitions."""
 
-    def __init__(self, oracle: ValueOracle, maxsize: int = 1 << 20):
+    def __init__(self, oracle: ValueOracle):
         self.n = oracle.n
         self._oracle = oracle
-        self._maxsize = maxsize
         self._cache: OrderedDict[int, float] = OrderedDict()
-        self._lock = threading.Lock()
 
     def evaluate(self, mask: int) -> float:
-        with self._lock:
-            if mask in self._cache:
-                self._cache.move_to_end(mask)
-                return self._cache[mask]
+        cache = self._cache
+        if mask in cache:
+            cache.move_to_end(mask)
+            return cache[mask]
         value = self._oracle.evaluate(mask)
-        with self._lock:
-            self._cache[mask] = value
-            if len(self._cache) > self._maxsize:
-                self._cache.popitem(last=False)
+        cache[mask] = value
+        if len(cache) > _MEMO_SIZE:
+            cache.popitem(last=False)
         return value
 
 
-def memoized(oracle: ValueOracle, maxsize: int = 1 << 20) -> ValueOracle:
+def memoized(oracle: ValueOracle) -> ValueOracle:
     if isinstance(oracle, MemoOracle):
         return oracle
-    return MemoOracle(oracle, maxsize)
+    return MemoOracle(oracle)
 
 
 class SubprocessOracle(ValueOracle):
@@ -115,13 +112,20 @@ class SubprocessOracle(ValueOracle):
     Line protocol over the child's standard input/output: one query line
     per coalition, a string of ``n`` characters over ``{0,1}`` where
     character ``p`` is 1 iff player ``p`` is a member; the child replies
-    with one line holding a decimal number.  Queries are serialized, so
-    the oracle is safe to share between sampling workers.
+    with one line holding a decimal number.  Queries go one at a time:
+    each waits for its reply before the next is written.
     """
 
     def __init__(self, command: str | Sequence[str], n: int):
+        if n < 1:
+            raise InvalidRange(f"player count must be >= 1, got {n}")
         self.n = n
-        args = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            args = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:
+            raise SpawnFailure(f"cannot parse oracle command {command!r}: {exc}") from exc
+        if not args:
+            raise SpawnFailure("empty oracle command")
         try:
             self._proc = subprocess.Popen(
                 args,
@@ -132,21 +136,19 @@ class SubprocessOracle(ValueOracle):
             )
         except OSError as exc:
             raise SpawnFailure(f"cannot spawn oracle {args!r}: {exc}") from exc
-        self._lock = threading.Lock()
 
     def evaluate(self, mask: int) -> float:
         query = "".join("1" if mask >> p & 1 else "0" for p in range(self.n))
-        with self._lock:
-            if self._proc.poll() is not None:
-                raise ChildExited(
-                    f"oracle exited with status {self._proc.returncode} before query {query}"
-                )
-            try:
-                self._proc.stdin.write(query + "\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise ChildExited(f"oracle pipe closed on query {query}: {exc}") from exc
-            reply = self._proc.stdout.readline()
+        if self._proc.poll() is not None:
+            raise ChildExited(
+                f"oracle exited with status {self._proc.returncode} before query {query}"
+            )
+        try:
+            self._proc.stdin.write(query + "\n")
+            self._proc.stdin.flush()
+        except (BrokenPipeError, OSError) as exc:
+            raise ChildExited(f"oracle pipe closed on query {query}: {exc}") from exc
+        reply = self._proc.stdout.readline()
         if reply == "":
             raise ChildExited(f"oracle closed its output on query {query}")
         text = reply.strip()
@@ -185,7 +187,6 @@ class SamplerConfig:
 
     samples: int = 10_000
     seed: int = 0
-    workers: int = 1
     exhaustive: bool = False
 
 
@@ -226,15 +227,6 @@ def _validate(cfg: SamplerConfig, n: int) -> None:
             )
     elif cfg.samples < 1:
         raise InvalidRange(f"sample count must be >= 1, got {cfg.samples}")
-    if cfg.workers < 1:
-        raise InvalidRange(f"worker count must be >= 1, got {cfg.workers}")
-
-
-def _run_chunks(chunk_fn, n_chunks: int, workers: int) -> list:
-    if workers <= 1 or n_chunks <= 1:
-        return [chunk_fn(c) for c in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk_fn, range(n_chunks)))
 
 
 def _marginals(perm: Sequence[int], ev, out: list[float]) -> None:
@@ -266,16 +258,11 @@ def sample_shapley(oracle: ValueOracle, cfg: SamplerConfig = SamplerConfig()) ->
         return [a / count for a in acc]
 
     k = cfg.samples
-    n_chunks = (k + _CHUNK - 1) // _CHUNK
-
-    def chunk(c: int) -> list[float]:
-        acc = [0.0] * n
-        for t in range(c * _CHUNK, min((c + 1) * _CHUNK, k)):
-            _marginals(_permutation(n, cfg.seed, t), ev, acc)
-        return acc
-
     total = [0.0] * n
-    for part in _run_chunks(chunk, n_chunks, cfg.workers):
+    for start in range(0, k, _CHUNK):
+        part = [0.0] * n
+        for t in range(start, min(start + _CHUNK, k)):
+            _marginals(_permutation(n, cfg.seed, t), ev, part)
         for i in range(n):
             total[i] += part[i]
     return [x / k for x in total]
@@ -285,11 +272,10 @@ def _matrix_tails(n: int) -> list[float]:
     return [harmonic_tail(s + 1, n) for s in range(n + 1)]
 
 
-def _matrix_contrib(
-    perm: Sequence[int], ev, tails: Sequence[float]
-) -> tuple[tuple[int, int, float], ...]:
-    """Per-permutation synergy updates as (i, j, value) with i < j."""
-    out = []
+def _matrix_marginals(
+    perm: Sequence[int], ev, tails: Sequence[float], acc: list[list[float]]
+) -> None:
+    """Add one permutation's synergy updates to ``acc[i][j]``, i < j."""
     prefix = 0
     prev = 0.0
     for i in perm:
@@ -305,10 +291,9 @@ def _matrix_contrib(
                 if j > i:
                     without_j = prefix ^ low
                     second = base - ev(without_j | (1 << i)) + ev(without_j)
-                    out.append((i, j, second * h))
+                    acc[i][j] += second * h
         prefix |= 1 << i
         prev = cur
-    return tuple(out)
 
 
 def sample_shapley_matrix(
@@ -332,36 +317,17 @@ def sample_shapley_matrix(
         acc = [[0.0] * n for _ in range(n)]
         count = 0
         for perm in permutations(range(n)):
-            for i, j, value in _matrix_contrib(perm, ev, tails):
-                acc[i][j] += value
+            _matrix_marginals(perm, ev, tails, acc)
             count += 1
         return _mirror([[x / count for x in row] for row in acc])
 
     k = cfg.samples
-    n_chunks = (k + _CHUNK - 1) // _CHUNK
-    # contributions are pure in the permutation, so repeated permutations
-    # (inevitable for small n and large k) are computed once
-    contrib_cache: dict[tuple[int, ...], tuple[tuple[int, int, float], ...]] = {}
-    cache_cap = 1 << 16
-
-    def chunk(c: int) -> list[list[float]]:
-        acc = [[0.0] * n for _ in range(n)]
-        for t in range(c * _CHUNK, min((c + 1) * _CHUNK, k)):
-            perm = _permutation(n, cfg.seed, t)
-            triples = contrib_cache.get(perm)
-            if triples is None:
-                triples = _matrix_contrib(perm, ev, tails)
-                if len(contrib_cache) < cache_cap:
-                    contrib_cache[perm] = triples
-            for i, j, value in triples:
-                acc[i][j] += value
-        return acc
-
     total = [[0.0] * n for _ in range(n)]
-    for part in _run_chunks(chunk, n_chunks, cfg.workers):
-        for i in range(n):
-            row = total[i]
-            prow = part[i]
+    for start in range(0, k, _CHUNK):
+        part = [[0.0] * n for _ in range(n)]
+        for t in range(start, min(start + _CHUNK, k)):
+            _matrix_marginals(_permutation(n, cfg.seed, t), ev, tails, part)
+        for row, prow in zip(total, part):
             for j in range(n):
                 row[j] += prow[j]
     return _mirror([[x / k for x in row] for row in total])

@@ -199,16 +199,15 @@ class TestDeterminism:
         b = run_cli("isv", path)
         assert a.stdout == b.stdout
 
-    def test_sampling_workers_byte_identical(self, tmp_path):
+    def test_sampling_reruns_byte_identical(self, tmp_path):
         cmd = oracle_command(tmp_path, ADDITIVE_SCRIPT)
+        # 4101 permutations span three accumulation chunks
         runs = [
-            run_cli(
-                "sample", "3", "--oracle", cmd, "--k", "4096",
-                "--seed", "3", "--workers", workers,
-            ).stdout
-            for workers in ("1", "4")
+            run_cli("sample", "3", "--oracle", cmd, "--k", "4101", "--seed", "3")
+            for _ in range(2)
         ]
-        assert runs[0] == runs[1]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestExitCodes:
@@ -238,6 +237,25 @@ class TestExitCodes:
         res = run_cli("sample", "2", "--oracle", cmd, "--k", "4")
         assert res.returncode == 2
         assert "oracle" in res.stderr
+
+    def test_unusable_oracle_command_is_two(self):
+        for command in ('"x', "", "   "):
+            res = run_cli("sample", "3", "--oracle", command, "--k", "5")
+            assert res.returncode == 2
+            assert "Traceback" not in res.stderr
+            assert "oracle error" in res.stderr
+
+    def test_non_positive_player_count_is_one(self, tmp_path):
+        cmd = oracle_command(tmp_path, ADDITIVE_SCRIPT)
+        for args in (
+            ["sample", "0", "--oracle", cmd, "--k", "5"],
+            ["sample", "-1", "--oracle", cmd, "--k", "5"],
+            ["large", "--oracle", cmd, "--n", "-2", "--total", "2", "--k", "5"],
+        ):
+            res = run_cli(*args)
+            assert res.returncode == 1
+            assert "player count" in res.stderr
+            assert res.stdout == ""
 
     def test_non_finite_reply_is_two(self, tmp_path):
         cmd = oracle_command(tmp_path, INFINITE_SCRIPT)

@@ -26,6 +26,7 @@ from indivisible.errors import (
     SpawnFailure,
     TooManyPlayers,
 )
+from indivisible.sampling import _CHUNK
 
 from oracles import random_game, two_goods_game
 
@@ -96,11 +97,15 @@ class TestSampleShapley:
             est = sample_shapley(TableOracle(g), SamplerConfig(samples=500, seed=seed))
             assert est[1] == 0.0 and est[3] == 0.0
 
-    def test_worker_count_invisible(self):
-        g = two_goods_game()
-        base = sample_shapley(TableOracle(g), SamplerConfig(samples=5000, seed=9, workers=1))
-        multi = sample_shapley(TableOracle(g), SamplerConfig(samples=5000, seed=9, workers=4))
-        assert base == multi
+    def test_pinned_multi_chunk_estimate(self):
+        # three chunk partials merged in chunk order; any change to the
+        # permutation stream or the summation order shows in the last bits
+        g = random_game(random.Random(229), 6)
+        est = sample_shapley(TableOracle(g), SamplerConfig(samples=2 * _CHUNK + 5, seed=9))
+        assert repr(est) == (
+            "[0.28895391367959034, -0.0753474762253109, 0.9578151670324311, "
+            "-0.250792489636674, 0.16264325774201413, 0.16672762740794927]"
+        )
 
     def test_sample_count_validated(self):
         with pytest.raises(InvalidRange):
@@ -146,11 +151,21 @@ class TestSampleMatrix:
             for j in range(5):
                 assert est[i][j] == est[j][i]
 
-    def test_worker_count_invisible(self):
+    def test_pinned_multi_chunk_estimate(self):
         g = random_game(random.Random(227), 5)
-        one = sample_shapley_matrix(TableOracle(g), SamplerConfig(samples=4096, seed=1, workers=1))
-        many = sample_shapley_matrix(TableOracle(g), SamplerConfig(samples=4096, seed=1, workers=3))
-        assert one == many
+        est = sample_shapley_matrix(TableOracle(g), SamplerConfig(samples=2 * _CHUNK + 5, seed=1))
+        assert repr(est) == (
+            "[[0.0, 0.1676928391449238, 0.36329960172315523, 0.1894436316345593, "
+            "-0.5947289279037666], "
+            "[0.1676928391449238, 0.0, -0.13281415102007604, -0.46618507681053173, "
+            "-0.40955661220840733], "
+            "[0.36329960172315523, -0.13281415102007604, 0.0, -0.09129379013248687, "
+            "0.4984201007884295], "
+            "[0.1894436316345593, -0.46618507681053173, -0.09129379013248687, 0.0, "
+            "0.34151629683817025], "
+            "[-0.5947289279037666, -0.40955661220840733, 0.4984201007884295, "
+            "0.34151629683817025, 0.0]]"
+        )
 
 
 class TestMemoization:
@@ -181,7 +196,7 @@ class TestSubprocessOracle:
 
     def test_sampling_through_child(self):
         with SubprocessOracle(ADDITIVE_CHILD, 3) as oracle:
-            est = sample_shapley(oracle, SamplerConfig(samples=64, seed=0, workers=2))
+            est = sample_shapley(oracle, SamplerConfig(samples=64, seed=0))
         assert est == [1.0, 2.0, 3.0]
 
     def test_malformed_reply(self):
@@ -205,3 +220,13 @@ class TestSubprocessOracle:
     def test_spawn_failure(self):
         with pytest.raises(SpawnFailure):
             SubprocessOracle(["/nonexistent/oracle-binary"], 2)
+
+    @pytest.mark.parametrize("command", ['"x', "", "   ", []])
+    def test_unusable_command_is_spawn_failure(self, command):
+        with pytest.raises(SpawnFailure):
+            SubprocessOracle(command, 2)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_player_count_validated(self, n):
+        with pytest.raises(InvalidRange):
+            SubprocessOracle(ADDITIVE_CHILD, n)
