@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import AlphaOutOfRange, DegenerateTotal, InvalidRange, LengthMismatch
-from .sampling import SamplerConfig, ValueOracle, memoized, sample_shapley, sample_shapley_matrix
+from .sampling import SamplerConfig, ValueOracle, _shapley_and_matrix
 
 DEFAULT_ALPHA = 0.5
 
@@ -114,16 +114,15 @@ def select_top_k(
 ) -> list[int]:
     """Pick ``k`` units worth of players from a black-box game.
 
-    Pipeline: estimate the Shapley vector and the synergy matrix, shift
-    and scale them so the estimates sum to ``k``, then run the grant loop.
+    Pipeline: estimate the Shapley vector and the synergy matrix in one
+    pass over the sampled permutations, shift and scale them so the
+    estimates sum to ``k``, then run the grant loop.
     The result is a grant-count vector; with well-spread attributions it
     is a 0/1 selection mask, but multiple grants to one player are
     possible and returned as-is.
     """
     if k < 1:
         raise InvalidRange(f"selection size must be >= 1, got {k}")
-    oracle = memoized(oracle)
-    phi = sample_shapley(oracle, cfg)
-    matrix = sample_shapley_matrix(oracle, cfg)
+    phi, matrix = _shapley_and_matrix(oracle, cfg)
     phi, matrix = normalize_attributions(phi, matrix, k)
     return isv_large(phi, matrix, k, alpha)

@@ -97,7 +97,14 @@ class MatchingGraph:
         self._object_owners = tuple(object_owners)
         self.copy_player: list[int] = []
         self._copy_objects: list[tuple[int, ...]] = []
-        self._player_objects: dict[int, tuple[int, ...]] = {}
+        # each player's objects in ascending order, shared by all its copies
+        player_objects: dict[int, list[int]] = {}
+        for j, owners in enumerate(self._object_owners):
+            if owners < 0:
+                raise PlayerOutOfRange(f"object {j} has a negative owner mask {owners}")
+            for p in members(owners):
+                player_objects.setdefault(p, []).append(j)
+        self._player_objects = {p: tuple(objs) for p, objs in player_objects.items()}
         self.match_of_copy: list[int] = []
         self.match_of_object: list[int] = [_FREE] * len(object_owners)
 
@@ -113,14 +120,7 @@ class MatchingGraph:
         """Add an unmatched copy of a player; returns the new node id."""
         node = len(self.copy_player)
         self.copy_player.append(player)
-        objects = self._player_objects.get(player)
-        if objects is None:
-            # built once per player; every copy of the player shares it
-            objects = tuple(
-                j for j, owners in enumerate(self._object_owners) if owners >> player & 1
-            )
-            self._player_objects[player] = objects
-        self._copy_objects.append(objects)
+        self._copy_objects.append(self._player_objects.get(player, ()))
         self.match_of_copy.append(_FREE)
         return node
 

@@ -10,15 +10,20 @@ Determinism contract: the estimators are pure functions of
 summed in fixed-size chunks whose partials are merged in chunk order.
 That fixes the float summation order, so the same inputs and seed give
 bit-identical estimates on every run.
+
+Both estimators run through one summing loop, ``_sums``; exhaustive mode
+is a single chunk over all ``n!`` permutations.  ``large.select_top_k``
+takes the Shapley estimate and the synergy matrix from one pass, so it
+samples each permutation once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import shlex
 import subprocess
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Sequence
@@ -85,19 +90,10 @@ class MemoOracle(ValueOracle):
 
     def __init__(self, oracle: ValueOracle):
         self.n = oracle.n
-        self._oracle = oracle
-        self._cache: OrderedDict[int, float] = OrderedDict()
+        self._lookup = functools.lru_cache(maxsize=_MEMO_SIZE)(oracle.evaluate)
 
     def evaluate(self, mask: int) -> float:
-        cache = self._cache
-        if mask in cache:
-            cache.move_to_end(mask)
-            return cache[mask]
-        value = self._oracle.evaluate(mask)
-        cache[mask] = value
-        if len(cache) > _MEMO_SIZE:
-            cache.popitem(last=False)
-        return value
+        return self._lookup(mask)
 
 
 def memoized(oracle: ValueOracle) -> ValueOracle:
@@ -173,6 +169,8 @@ class SubprocessOracle(ValueOracle):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        if proc.stdout:
+            proc.stdout.close()
 
     def __enter__(self) -> "SubprocessOracle":
         return self
@@ -220,6 +218,10 @@ def _permutation(n: int, seed: int, t: int) -> tuple[int, ...]:
 
 
 def _validate(cfg: SamplerConfig, n: int) -> None:
+    for name in ("samples", "seed"):
+        value = getattr(cfg, name)
+        if not isinstance(value, int):
+            raise InvalidRange(f"{name} must be an int, got {value!r}")
     if cfg.exhaustive:
         if n > _EXHAUSTIVE_CAP:
             raise TooManyPlayers(
@@ -227,6 +229,36 @@ def _validate(cfg: SamplerConfig, n: int) -> None:
             )
     elif cfg.samples < 1:
         raise InvalidRange(f"sample count must be >= 1, got {cfg.samples}")
+
+
+def _sums(
+    oracle: ValueOracle, cfg: SamplerConfig, size: int, add: Callable
+) -> tuple[list[float], int]:
+    """Sum ``add(perm, ev, part)`` over the configured permutations.
+
+    Returns ``size`` flat totals and the permutation count.  Each chunk of
+    ``_CHUNK`` permutations is summed into its own partial, and partials
+    are merged in chunk order; exhaustive mode is a single chunk.
+    """
+    n = oracle.n
+    _validate(cfg, n)
+    ev = memoized(oracle).evaluate
+    if cfg.exhaustive:
+        count = math.factorial(n)
+        chunks = [permutations(range(n))]
+    else:
+        count = cfg.samples
+        chunks = (
+            (_permutation(n, cfg.seed, t) for t in range(start, min(start + _CHUNK, count)))
+            for start in range(0, count, _CHUNK)
+        )
+    total = [0.0] * size
+    for chunk in chunks:
+        part = [0.0] * size
+        for perm in chunk:
+            add(perm, ev, part)
+        total = [a + b for a, b in zip(total, part)]
+    return total, count
 
 
 def _marginals(perm: Sequence[int], ev, out: list[float]) -> None:
@@ -245,55 +277,48 @@ def sample_shapley(oracle: ValueOracle, cfg: SamplerConfig = SamplerConfig()) ->
     In exhaustive mode every permutation is visited once, which turns the
     estimate into the exact value up to float summation error.
     """
+    total, count = _sums(oracle, cfg, oracle.n, _marginals)
+    return [x / count for x in total]
+
+
+def _shapley_and_matrix(
+    oracle: ValueOracle, cfg: SamplerConfig
+) -> tuple[list[float], list[list[float]]]:
+    """``sample_shapley`` and ``sample_shapley_matrix`` from one pass.
+
+    The flat totals hold the synergy sums at ``i*n + j`` (only ``i < j``
+    is updated) followed by the marginal sums at ``n*n + i``.
+    """
     n = oracle.n
-    _validate(cfg, n)
-    ev = memoized(oracle).evaluate
+    tails = [harmonic_tail(s + 1, n) for s in range(n + 1)]
+    phi_at = n * n
 
-    if cfg.exhaustive:
-        acc = [0.0] * n
-        count = 0
-        for perm in permutations(range(n)):
-            _marginals(perm, ev, acc)
-            count += 1
-        return [a / count for a in acc]
-
-    k = cfg.samples
-    total = [0.0] * n
-    for start in range(0, k, _CHUNK):
-        part = [0.0] * n
-        for t in range(start, min(start + _CHUNK, k)):
-            _marginals(_permutation(n, cfg.seed, t), ev, part)
-        for i in range(n):
-            total[i] += part[i]
-    return [x / k for x in total]
-
-
-def _matrix_tails(n: int) -> list[float]:
-    return [harmonic_tail(s + 1, n) for s in range(n + 1)]
-
-
-def _matrix_marginals(
-    perm: Sequence[int], ev, tails: Sequence[float], acc: list[list[float]]
-) -> None:
-    """Add one permutation's synergy updates to ``acc[i][j]``, i < j."""
-    prefix = 0
-    prev = 0.0
-    for i in perm:
-        cur = ev(prefix | (1 << i))
-        if prefix:
+    def add(perm: Sequence[int], ev, acc: list[float]) -> None:
+        prefix = 0
+        prev = 0.0
+        for i in perm:
+            cur = ev(prefix | (1 << i))
             base = cur - prev
-            h = tails[prefix.bit_count()]
-            rest = prefix
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = low.bit_length() - 1
-                if j > i:
-                    without_j = prefix ^ low
-                    second = base - ev(without_j | (1 << i)) + ev(without_j)
-                    acc[i][j] += second * h
-        prefix |= 1 << i
-        prev = cur
+            acc[phi_at + i] += base
+            if prefix:
+                h = tails[prefix.bit_count()]
+                row = i * n
+                rest = prefix
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    j = low.bit_length() - 1
+                    if j > i:
+                        without_j = prefix ^ low
+                        second = base - ev(without_j | (1 << i)) + ev(without_j)
+                        acc[row + j] += second * h
+            prefix |= 1 << i
+            prev = cur
+
+    total, count = _sums(oracle, cfg, phi_at + n, add)
+    # the lower triangle mirrors the upper one; the diagonal was never updated
+    matrix = [[total[min(i, j) * n + max(i, j)] / count for j in range(n)] for i in range(n)]
+    return [x / count for x in total[phi_at:]], matrix
 
 
 def sample_shapley_matrix(
@@ -308,34 +333,4 @@ def sample_shapley_matrix(
     the diagonal is never updated and stays 0 (the exact matrix carries
     the true diagonal).
     """
-    n = oracle.n
-    _validate(cfg, n)
-    ev = memoized(oracle).evaluate
-    tails = _matrix_tails(n)
-
-    if cfg.exhaustive:
-        acc = [[0.0] * n for _ in range(n)]
-        count = 0
-        for perm in permutations(range(n)):
-            _matrix_marginals(perm, ev, tails, acc)
-            count += 1
-        return _mirror([[x / count for x in row] for row in acc])
-
-    k = cfg.samples
-    total = [[0.0] * n for _ in range(n)]
-    for start in range(0, k, _CHUNK):
-        part = [[0.0] * n for _ in range(n)]
-        for t in range(start, min(start + _CHUNK, k)):
-            _matrix_marginals(_permutation(n, cfg.seed, t), ev, tails, part)
-        for row, prow in zip(total, part):
-            for j in range(n):
-                row[j] += prow[j]
-    return _mirror([[x / k for x in row] for row in total])
-
-
-def _mirror(mat: list[list[float]]) -> list[list[float]]:
-    n = len(mat)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[j][i] = mat[i][j]
-    return mat
+    return _shapley_and_matrix(oracle, cfg)[1]

@@ -115,6 +115,23 @@ class TestMatchingGraph:
         assert not graph.augment_from(b)
         assert graph.match_of_object == before
 
+    def test_player_without_objects_cannot_augment(self):
+        graph = MatchingGraph([0b001, 0b011])
+        node = graph.add_copy(2)
+        assert not graph.augment_from(node)
+        assert graph.matching_size() == 0
+
+    def test_copies_scan_objects_in_ascending_order(self):
+        # the first free object a copy reaches is its lowest-numbered one
+        graph = MatchingGraph([0b10, 0b11, 0b10, 0b01])
+        assert graph.augment_from(graph.add_copy(1))
+        assert graph.augment_from(graph.add_copy(0))
+        assert graph.match_of_object == [0, 1, -1, -1]
+
+    def test_negative_owner_mask_rejected(self):
+        with pytest.raises(PlayerOutOfRange):
+            MatchingGraph([0b01, -1])
+
     def test_fixture_first_remainder_augments(self):
         # after the floor matching, the highest-remainder player gets a copy
         graph = MatchingGraph(FIVE_PLAYER_OWNERS.owners)

@@ -26,7 +26,7 @@ from indivisible.errors import (
     SpawnFailure,
     TooManyPlayers,
 )
-from indivisible.sampling import _CHUNK
+from indivisible.sampling import _CHUNK, _shapley_and_matrix
 
 from oracles import random_game, two_goods_game
 
@@ -107,9 +107,36 @@ class TestSampleShapley:
             "-0.250792489636674, 0.16264325774201413, 0.16672762740794927]"
         )
 
+    def test_pinned_exhaustive_estimate(self):
+        # 7! permutations exceed one chunk; exhaustive mode sums them as one.
+        # Sevenths are not dyadic, so another summation order shows.
+        g = random_game(random.Random(233), 7, denominator=7)
+        est = sample_shapley(TableOracle(g), SamplerConfig(exhaustive=True))
+        assert repr(est) == (
+            "[0.7204081632653326, -0.6391156462585045, 0.09659863945577774, "
+            "-0.3938775510204057, -0.258163265306129, -0.19863945578230355, "
+            "1.1013605442177181]"
+        )
+
     def test_sample_count_validated(self):
         with pytest.raises(InvalidRange):
             sample_shapley(additive_oracle([1.0]), SamplerConfig(samples=0))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SamplerConfig(samples=2.5),
+            SamplerConfig(seed=1.5),
+            SamplerConfig(samples="3"),
+            SamplerConfig(seed="1"),
+            SamplerConfig(samples=None, exhaustive=True),
+        ],
+    )
+    def test_non_integer_config_is_invalid_range(self, cfg):
+        with pytest.raises(InvalidRange):
+            sample_shapley(additive_oracle([1.0, 2.0]), cfg)
+        with pytest.raises(InvalidRange):
+            sample_shapley_matrix(additive_oracle([1.0, 2.0]), cfg)
 
     def test_exhaustive_cap(self):
         with pytest.raises(TooManyPlayers):
@@ -166,6 +193,42 @@ class TestSampleMatrix:
             "[-0.5947289279037666, -0.40955661220840733, 0.4984201007884295, "
             "0.34151629683817025, 0.0]]"
         )
+
+    def test_pinned_exhaustive_estimate(self):
+        g = random_game(random.Random(233), 7, denominator=7)
+        est = sample_shapley_matrix(TableOracle(g), SamplerConfig(exhaustive=True))
+        assert repr(est) == (
+            "[[0.0, -0.17515144152899517, 0.08254697116941867, -0.06709588597344003, "
+            "-0.10090540978296178, -0.14590540978296107, -0.04519112406867675], "
+            "[-0.17515144152899517, 0.0, 0.3353247489471967, 0.06754697116942056, "
+            "-0.14082604470359572, -0.22356413994169166, 0.05111839974084893], "
+            "[0.08254697116941867, 0.3353247489471967, 0.0, 0.26437236799481895, "
+            "0.06405490767735658, 0.021356494978945668, -0.07713556851312005], "
+            "[-0.06709588597344003, 0.06754697116942056, 0.26437236799481895, 0.0, "
+            "0.4243723679948206, -0.039714933592484146, 0.11215014577259333], "
+            "[-0.10090540978296178, -0.14082604470359572, 0.06405490767735658, "
+            "0.4243723679948206, 0.0, -0.05626255264010392, -0.013286362163913365], "
+            "[-0.14590540978296107, -0.22356413994169166, 0.021356494978945668, "
+            "-0.039714933592484146, -0.05626255264010392, 0.0, -0.10991334629089775], "
+            "[-0.04519112406867675, 0.05111839974084893, -0.07713556851312005, "
+            "0.11215014577259333, -0.013286362163913365, -0.10991334629089775, 0.0]]"
+        )
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SamplerConfig(exhaustive=True),
+            SamplerConfig(samples=300, seed=4),
+            SamplerConfig(samples=2 * _CHUNK + 5, seed=6),
+        ],
+    )
+    def test_matches_both_estimators(self, cfg):
+        g = random_game(random.Random(239), 6, denominator=7)
+        phi, matrix = _shapley_and_matrix(TableOracle(g), cfg)
+        assert repr(phi) == repr(sample_shapley(TableOracle(g), cfg))
+        assert repr(matrix) == repr(sample_shapley_matrix(TableOracle(g), cfg))
 
 
 class TestMemoization:
@@ -225,6 +288,13 @@ class TestSubprocessOracle:
     def test_unusable_command_is_spawn_failure(self, command):
         with pytest.raises(SpawnFailure):
             SubprocessOracle(command, 2)
+
+    def test_close_releases_both_pipes(self):
+        oracle = SubprocessOracle(ADDITIVE_CHILD, 2)
+        oracle.evaluate(0b11)
+        oracle.close()
+        assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
+        assert oracle._proc.returncode is not None
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_player_count_validated(self, n):
