@@ -5,16 +5,18 @@ jointly own it.  The induced game counts the objects fully owned by a
 coalition, its Shapley value has a closed form (each owner gets an equal
 share of each owned object), and the integer payoffs can be realised as
 an actual assignment of objects to owners via bipartite matching: one
-player-node copy per guaranteed unit, matched by Hopcroft-Karp, then one
-extra copy per player in remainder order, kept only if an augmenting path
-exists.  The resulting count vector matches the exact indivisible Shapley
-value of the induced game without ever building the full table.
+player-node copy per guaranteed unit, all matched, then one extra copy per
+player in remainder order, kept only if an augmenting path exists.  Every
+augmenting path comes from one iterative breadth-first search over
+players.  The resulting count vector matches the exact indivisible Shapley
+value of the induced game without ever building the full table; which
+owner gets each object is deterministic, but only the counts are the
+contract.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -82,21 +84,21 @@ def shapley_from_owners(ol: OwnerList) -> RationalVector:
 
 
 _FREE = -1
-_INF = -1
 
 
 class MatchingGraph:
     """Bipartite matching state between player-node copies and objects.
 
     Left nodes are copies, each tagged with its player; right nodes are
-    the objects, adjacent to every copy of every owner.  All scans run in
-    ascending id order, so matchings are reproducible.
+    the objects, adjacent to every copy of every owner.  Augmenting paths
+    are found breadth-first over players, each scanning its objects in
+    ascending order, so a path is one with the fewest players and
+    matchings are reproducible.
     """
 
     def __init__(self, object_owners: Sequence[int]):
         self._object_owners = tuple(object_owners)
         self.copy_player: list[int] = []
-        self._copy_objects: list[tuple[int, ...]] = []
         # each player's objects in ascending order, shared by all its copies
         player_objects: dict[int, list[int]] = {}
         for j, owners in enumerate(self._object_owners):
@@ -107,6 +109,7 @@ class MatchingGraph:
         self._player_objects = {p: tuple(objs) for p, objs in player_objects.items()}
         self.match_of_copy: list[int] = []
         self.match_of_object: list[int] = [_FREE] * len(object_owners)
+        self._dead: set[int] = set()  # players no augmenting path can enter
 
     @property
     def objects(self) -> int:
@@ -120,7 +123,6 @@ class MatchingGraph:
         """Add an unmatched copy of a player; returns the new node id."""
         node = len(self.copy_player)
         self.copy_player.append(player)
-        self._copy_objects.append(self._player_objects.get(player, ()))
         self.match_of_copy.append(_FREE)
         return node
 
@@ -128,49 +130,16 @@ class MatchingGraph:
         return sum(1 for m in self.match_of_copy if m != _FREE)
 
     def hopcroft_karp(self) -> int:
-        """Extend the current matching to maximum cardinality; returns its size."""
-        while self._hk_bfs():
-            for node in range(self.copies):
-                if self.match_of_copy[node] == _FREE:
-                    self._hk_dfs(node)
-        return self.matching_size()
+        """Extend the current matching to maximum cardinality; returns its size.
 
-    def _hk_bfs(self) -> bool:
-        self._dist = [_INF] * self.copies
-        queue = deque()
+        Runs the breadth-first player search once from each unmatched copy,
+        in id order; a copy that finds no augmenting path then would find
+        none later either.
+        """
         for node in range(self.copies):
             if self.match_of_copy[node] == _FREE:
-                self._dist[node] = 0
-                queue.append(node)
-        found = _INF
-        while queue:
-            node = queue.popleft()
-            if found != _INF and self._dist[node] >= found:
-                continue
-            for obj in self._copy_objects[node]:
-                other = self.match_of_object[obj]
-                if other == _FREE:
-                    if found == _INF:
-                        found = self._dist[node] + 1
-                elif self._dist[other] == _INF:
-                    self._dist[other] = self._dist[node] + 1
-                    queue.append(other)
-        self._layer = found
-        return found != _INF
-
-    def _hk_dfs(self, node: int) -> bool:
-        for obj in self._copy_objects[node]:
-            other = self.match_of_object[obj]
-            if other == _FREE:
-                if self._dist[node] + 1 == self._layer:
-                    self._pair(node, obj)
-                    return True
-            elif self._dist[other] == self._dist[node] + 1:
-                if self._hk_dfs(other):
-                    self._pair(node, obj)
-                    return True
-        self._dist[node] = _INF
-        return False
+                self._augment(node)
+        return self.matching_size()
 
     def _pair(self, node: int, obj: int) -> None:
         self.match_of_copy[node] = obj
@@ -185,17 +154,37 @@ class MatchingGraph:
         """
         if self.match_of_copy[node] != _FREE:
             raise InvalidRange(f"copy {node} is already matched")
-        return self._kuhn(node, set())
+        return self._augment(node)
 
-    def _kuhn(self, node: int, seen: set[int]) -> bool:
-        for obj in self._copy_objects[node]:
-            if obj in seen:
-                continue
-            seen.add(obj)
-            other = self.match_of_object[obj]
-            if other == _FREE or self._kuhn(other, seen):
-                self._pair(node, obj)
-                return True
+    def _augment(self, root: int) -> bool:
+        # Breadth-first over players, not copies: the copies of one player
+        # share its objects, so any of them can pass an object on.  A
+        # player is entered through an object one of its copies holds;
+        # via[player] = (that object, the player that takes it).
+        start = self.copy_player[root]
+        if start in self._dead:
+            return False
+        match = self.match_of_object
+        via: dict[int, tuple[int, int] | None] = {start: None}
+        queue = [start]
+        for player in queue:
+            for obj in self._player_objects.get(player, ()):
+                holder = match[obj]
+                if holder == _FREE:
+                    # walk back, moving each copy on the path to the object ahead of it
+                    while player != start:
+                        held, player = via[player]
+                        self._pair(match[held], obj)
+                        obj = held
+                    self._pair(root, obj)
+                    return True
+                other = self.copy_player[holder]
+                if other not in via and other not in self._dead:
+                    via[other] = (obj, player)
+                    queue.append(other)
+        # Every object these players own is held by one of their copies, and
+        # no augmenting path can change that, so later searches skip them.
+        self._dead.update(via)
         return False
 
     def counts(self, n: int) -> list[int]:

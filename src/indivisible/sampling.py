@@ -19,7 +19,6 @@ samples each permutation once.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import shlex
@@ -86,14 +85,20 @@ class FunctionOracle(ValueOracle):
 
 
 class MemoOracle(ValueOracle):
-    """LRU-cached view of another oracle, keeping ``_MEMO_SIZE`` coalitions."""
+    """Cached view of another oracle; the cache starts over at ``_MEMO_SIZE``."""
 
     def __init__(self, oracle: ValueOracle):
         self.n = oracle.n
-        self._lookup = functools.lru_cache(maxsize=_MEMO_SIZE)(oracle.evaluate)
+        self._inner = oracle.evaluate
+        self._memo: dict[int, float] = {}
 
     def evaluate(self, mask: int) -> float:
-        return self._lookup(mask)
+        value = self._memo.get(mask)  # oracle values are floats, never None
+        if value is None:
+            if len(self._memo) >= _MEMO_SIZE:
+                self._memo.clear()
+            value = self._memo[mask] = self._inner(mask)
+        return value
 
 
 def memoized(oracle: ValueOracle) -> ValueOracle:

@@ -184,6 +184,35 @@ def random_owner_list(rng: random.Random, n: int, max_objects: int = 8) -> Owner
     return OwnerList(n, tuple(owners))
 
 
+def sized_owner_list(rng: random.Random, n: int, objects: int) -> OwnerList:
+    """Exactly ``objects`` objects, each owned by one to three players."""
+    owners = [coalition(rng.sample(range(n), rng.randint(1, 3))) for _ in range(objects)]
+    return OwnerList(n, tuple(owners))
+
+
+def max_matching_size(copy_players, object_owners) -> int:
+    """Maximum number of copies matched to distinct objects their player owns.
+
+    Exhaustive: each copy in turn stays unmatched or takes any free owned
+    object, memoized on (copy index, set of objects taken).
+    """
+    best: dict[tuple[int, int], int] = {}
+
+    def search(i: int, taken: int) -> int:
+        if i == len(copy_players):
+            return 0
+        key = (i, taken)
+        if key not in best:
+            out = search(i + 1, taken)
+            for j, owners in enumerate(object_owners):
+                if owners >> copy_players[i] & 1 and not taken >> j & 1:
+                    out = max(out, 1 + search(i + 1, taken | 1 << j))
+            best[key] = out
+        return best[key]
+
+    return search(0, 0)
+
+
 def floor_half_game() -> Game:
     """Four players; every coalition is worth half its size, rounded down."""
     return make_game(4, [(m, Fraction(m.bit_count() // 2)) for m in range(1, 16)])

@@ -1,11 +1,12 @@
 import json
+import random
 import shlex
 import subprocess
 import sys
 
-from indivisible.formats import format_game
+from indivisible.formats import format_game, format_owner_list
 
-from oracles import floor_half_game, two_goods_game
+from oracles import floor_half_game, sized_owner_list, two_goods_game
 
 ADDITIVE_SCRIPT = """\
 import sys
@@ -141,6 +142,14 @@ class TestAllocate:
             "player 1 1",
             "total 2",
         ]
+
+    def test_200_players_5000_objects(self, tmp_path):
+        path = tmp_path / "owners.txt"
+        path.write_text(format_owner_list(sized_owner_list(random.Random(449), 200, 5000)))
+        res = run_cli("allocate", str(path))
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert res.stdout.splitlines()[-1] == "total 5000"
 
 
 class TestSampling:

@@ -26,7 +26,13 @@ from indivisible.errors import (
     PlayerOutOfRange,
 )
 
-from oracles import FIVE_PLAYER_OWNERS, random_owner_list, two_goods_game
+from oracles import (
+    FIVE_PLAYER_OWNERS,
+    max_matching_size,
+    random_owner_list,
+    sized_owner_list,
+    two_goods_game,
+)
 
 F = Fraction
 
@@ -128,6 +134,53 @@ class TestMatchingGraph:
         assert graph.augment_from(graph.add_copy(0))
         assert graph.match_of_object == [0, 1, -1, -1]
 
+    def test_augment_takes_a_path_with_fewest_players(self):
+        # player 0's first object leads through players 1 and 2 to object 2;
+        # its later object 3 leads through player 3 alone to object 4
+        graph = MatchingGraph([0b0011, 0b0110, 0b0100, 0b1001, 0b1000])
+        for p in (1, 2, 3):
+            assert graph.augment_from(graph.add_copy(p))
+        assert graph.match_of_object == [0, 1, -1, 2, -1]
+        assert graph.augment_from(graph.add_copy(0))
+        assert graph.match_of_object == [0, 1, -1, 3, 2]
+
+    def test_agrees_with_brute_force_maximum(self):
+        rng = random.Random(443)
+        failed = failed_again = 0
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            owners = [
+                coalition(rng.sample(range(n), rng.randint(1, n)))
+                for _ in range(rng.randint(1, 5))
+            ]
+            graph = MatchingGraph(owners)
+            tried_and_failed = set()
+            for _ in range(rng.randint(1, 8)):
+                graph.add_copy(rng.randrange(n))
+                action = rng.random()
+                if action < 0.2:
+                    assert graph.hopcroft_karp() == max_matching_size(graph.copy_player, owners)
+                elif action < 0.9:
+                    free = [c for c, obj in enumerate(graph.match_of_copy) if obj == -1]
+                    node = rng.choice(free)
+                    kept = [p for p, obj in zip(graph.copy_player, graph.match_of_copy) if obj != -1]
+                    grows = max_matching_size(kept + [graph.copy_player[node]], owners) > len(kept)
+                    before = list(graph.match_of_object)
+                    assert graph.augment_from(node) == grows
+                    if not grows:
+                        assert graph.match_of_object == before
+                        failed += 1
+                        failed_again += graph.copy_player[node] in tried_and_failed
+                        tried_and_failed.add(graph.copy_player[node])
+                for node, obj in enumerate(graph.match_of_copy):
+                    if obj != -1:
+                        assert graph.match_of_object[obj] == node
+                        assert owners[obj] >> graph.copy_player[node] & 1
+                assert graph.matching_size() == sum(m != -1 for m in graph.match_of_object)
+            assert graph.hopcroft_karp() == max_matching_size(graph.copy_player, owners)
+        # failed searches, and searches from players that failed before, both ran
+        assert failed > 50 and failed_again > 10
+
     def test_negative_owner_mask_rejected(self):
         with pytest.raises(PlayerOutOfRange):
             MatchingGraph([0b01, -1])
@@ -192,6 +245,38 @@ class TestIsvAllocation:
                 for _ in range(math.floor(sv[i])):
                     graph.add_copy(i)
             assert graph.hopcroft_karp() == graph.copies
+
+
+class TestScale:
+    """Thousands of players and objects; augmenting paths thousands of steps long."""
+
+    CHAIN = 3000
+
+    def test_chain_of_3000_players(self):
+        # object j is owned by players j and j + 1
+        ol = OwnerList(self.CHAIN, tuple(0b11 << j for j in range(self.CHAIN - 1)))
+        allocation = isv_allocation(ol)
+        assert allocation.counts == (1,) * (self.CHAIN - 1) + (0,)
+        for obj, player in enumerate(allocation.assignment):
+            assert ol.owners[obj] >> player & 1
+
+    def test_chain_as_unit_dividends(self):
+        dividends = [(0b11 << j, F(1)) for j in range(self.CHAIN - 1)]
+        payoffs = isv_from_dividends(self.CHAIN, dividends)
+        assert payoffs == (1,) * (self.CHAIN - 1) + (0,)
+
+    def test_200_players_5000_objects(self):
+        ol = sized_owner_list(random.Random(449), 200, 5000)
+        allocation = isv_allocation(ol)
+        sv = shapley_from_owners(ol)
+        tally = [0] * ol.n
+        for obj, player in enumerate(allocation.assignment):
+            assert ol.owners[obj] >> player & 1
+            tally[player] += 1
+        assert list(allocation.counts) == tally
+        assert sum(allocation.counts) == 5000
+        for i in range(ol.n):
+            assert math.floor(sv[i]) <= allocation.counts[i] <= math.ceil(sv[i])
 
 
 class TestIsvFromDividends:
