@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import formats
 from .elections import apportion_isv, coalition_game_from_regions, dhondt
-from .errors import OracleFailure, ParseError, SolverError, ValidationError
+from .errors import OracleFailure, SolverError
 from .games import (
     Game,
     harsanyi_dividends,
@@ -283,16 +283,10 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.fn(args, out)
-    except _CliError as exc:
-        err.write(f"error: {exc}\n")
-        return 1
-    except (ParseError, ValidationError) as exc:
-        err.write(f"error: {exc}\n")
-        return 1
     except OracleFailure as exc:
         err.write(f"oracle error: {exc}\n")
         return 2
-    except SolverError as exc:
+    except (_CliError, SolverError) as exc:
         err.write(f"error: {exc}\n")
         return 1
     return 0

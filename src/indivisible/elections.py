@@ -20,13 +20,13 @@ from .errors import (
     NoBallots,
     PlayerOutOfRange,
     TooManyParties,
-    TooManyPlayers,
 )
 from .games import (
     MAX_TABLE_PLAYERS,
     Game,
     IntVector,
     RationalTable,
+    _check_player_count,
     coalition_sums,
     game_from_weights,
 )
@@ -140,10 +140,7 @@ def coalition_game_from_regions(
     """
     parties = tuple(member_parties)
     m = len(parties)
-    if m < 1:
-        raise PlayerOutOfRange("need at least one member party")
-    if m > max_players:
-        raise TooManyPlayers(f"at most {max_players} member parties supported, got {m}")
+    _check_player_count(m, max_players)
     if len(outsiders) != len(rv.regions):
         raise InvalidRange(
             f"{len(outsiders)} outsider lists for {len(rv.regions)} regions"

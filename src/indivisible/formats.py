@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .games import Game, make_game, members
+from .games import MAX_TABLE_PLAYERS, Game, _check_player_count, _game_from_listed, members
 from .elections import ApprovalProfile, Region, RegionalVotes
 from .matching import OwnerList
 
@@ -33,10 +33,9 @@ def _content_lines(text: str):
 
 def _parse_fraction(token: str, source: str, lineno: int) -> Fraction:
     try:
-        value = Fraction(token)
+        return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(source, lineno, f"bad rational value {token!r}") from None
-    return value
 
 
 def _parse_indices(token: str, n: int, source: str, lineno: int) -> int:
@@ -58,10 +57,16 @@ def _parse_indices(token: str, n: int, source: str, lineno: int) -> int:
     return mask
 
 
-def _parse_header(line: str, keyword: str, source: str, lineno: int) -> list[str]:
-    parts = line.split()
-    if not parts or parts[0] != keyword:
-        raise ParseError(source, lineno, f"expected '{keyword} ...', got {line!r}")
+def _read_header(text: str, keyword: str, what: str, source: str):
+    """The content lines after a ``what`` file's ``<keyword> <count> ...`` header,
+    plus the header's line number, its count (at least 1) and further fields."""
+    lines = _content_lines(text)
+    lineno, header = next(lines, (1, None))
+    if header is None:
+        raise ParseError(source, lineno, f"empty {what} file")
+    parts = header.split()
+    if parts[0] != keyword:
+        raise ParseError(source, lineno, f"expected '{keyword} ...', got {header!r}")
     if len(parts) < 2:
         raise ParseError(source, lineno, f"missing count after '{keyword}'")
     try:
@@ -70,30 +75,24 @@ def _parse_header(line: str, keyword: str, source: str, lineno: int) -> list[str
         raise ParseError(source, lineno, f"bad count {parts[1]!r}") from None
     if count < 1:
         raise ParseError(source, lineno, f"count must be >= 1, got {count}")
-    return parts
+    return lines, lineno, count, parts[2:]
 
 
 def parse_game(text: str, source: str = "<game>") -> Game:
     """Parse the game format: a ``players <n>`` header, then one
     ``<i1>,...,<ik> <value>`` line per nonzero coalition."""
-    lines = _content_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(source, 1, "empty game file") from None
-    n = int(_parse_header(header, "players", source, lineno)[1])
-    entries = []
-    seen = set()
+    lines, _, n, _ = _read_header(text, "players", "game", source)
+    _check_player_count(n, MAX_TABLE_PLAYERS)
+    listed: dict[int, Fraction] = {}
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(source, lineno, f"expected '<players> <value>', got {line!r}")
         mask = _parse_indices(parts[0], n, source, lineno)
-        if mask in seen:
+        if mask in listed:
             raise ParseError(source, lineno, f"coalition {parts[0]} listed twice")
-        seen.add(mask)
-        entries.append((mask, _parse_fraction(parts[1], source, lineno)))
-    return make_game(n, entries)
+        listed[mask] = _parse_fraction(parts[1], source, lineno)
+    return _game_from_listed(n, listed)
 
 
 def format_game(g: Game) -> str:
@@ -108,12 +107,7 @@ def format_game(g: Game) -> str:
 def parse_owner_list(text: str, source: str = "<owners>") -> OwnerList:
     """Parse the owner-list format: a ``players <n>`` header, then one
     comma-separated owner coalition per object."""
-    lines = _content_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(source, 1, "empty owner file") from None
-    n = int(_parse_header(header, "players", source, lineno)[1])
+    lines, _, n, _ = _read_header(text, "players", "owner", source)
     owners = []
     for lineno, line in lines:
         if len(line.split()) != 1:
@@ -132,14 +126,7 @@ def format_owner_list(ol: OwnerList) -> str:
 def parse_approval_profile(text: str, source: str = "<ballots>") -> ApprovalProfile:
     """Parse the ballot format: ``parties <m> <name0> <name1> ...``, then one
     ``<count> <i1>,<i2>,...`` line per distinct approval set."""
-    lines = _content_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(source, 1, "empty ballot file") from None
-    parts = _parse_header(header, "parties", source, lineno)
-    m = int(parts[1])
-    names = parts[2:]
+    lines, lineno, m, names = _read_header(text, "parties", "ballot", source)
     if len(names) != m:
         raise ParseError(source, lineno, f"expected {m} party names, got {len(names)}")
     ballots = []
@@ -170,14 +157,7 @@ def parse_regional(
     """Parse the regional format: ``parties <m> <names...>``, then one
     ``region <seats> <v0> ... <vm-1> | <outsider totals...>`` line per
     region (the bar and outsider totals may be omitted)."""
-    lines = _content_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(source, 1, "empty regional file") from None
-    parts = _parse_header(header, "parties", source, lineno)
-    m = int(parts[1])
-    names = parts[2:]
+    lines, lineno, m, names = _read_header(text, "parties", "regional", source)
     if len(names) != m:
         raise ParseError(source, lineno, f"expected {m} party names, got {len(names)}")
     regions = []
@@ -187,11 +167,8 @@ def parse_regional(
         if not fields or fields[0] != "region":
             raise ParseError(source, lineno, f"expected 'region ...', got {line!r}")
         body = fields[1:]
-        if "|" in body:
-            bar = body.index("|")
-            vote_fields, out_fields = body[:bar], body[bar + 1 :]
-        else:
-            vote_fields, out_fields = body, []
+        bar = body.index("|") if "|" in body else len(body)
+        vote_fields, out_fields = body[:bar], body[bar + 1 :]
         if len(vote_fields) != m + 1:
             raise ParseError(
                 source, lineno, f"expected seats plus {m} vote totals, got {len(vote_fields)}"

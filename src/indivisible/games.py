@@ -28,6 +28,7 @@ from typing import Iterable, NamedTuple
 from .errors import (
     DuplicateCoalition,
     EmptySupportCoalition,
+    InvalidRange,
     LengthMismatch,
     NegativePayoff,
     NonzeroEmptySet,
@@ -61,7 +62,11 @@ def members(mask: int) -> tuple[int, ...]:
 
 
 def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """``x`` as an exact rational: anything ``Fraction`` accepts, finite."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidRange(f"not a finite rational: {x!r}") from None
 
 
 class RationalTable(Sequence):
@@ -225,20 +230,22 @@ def make_game(
 ) -> Game:
     """Build a game from (coalition mask, value) pairs; unlisted coalitions are 0."""
     _check_player_count(n, max_players)
-    listed: dict[int, tuple[int, int]] = {}
+    listed: dict[int, Fraction] = {}
     for mask, value in entries:
         if mask < 0 or mask >= 1 << n:
             raise PlayerOutOfRange(f"coalition {bin(mask)} has players outside 0..{n - 1}")
         if mask in listed:
             raise DuplicateCoalition(f"coalition {members(mask)} listed twice")
-        value = _as_fraction(value)
-        if mask == 0 and value != 0:
-            raise NonzeroEmptySet("the empty coalition must have value 0")
-        listed[mask] = value.as_integer_ratio()
-    den = math.lcm(*{d for _, d in listed.values()})
+        listed[mask] = _as_fraction(value)
+    return _game_from_listed(n, listed)
+
+
+def _game_from_listed(n: int, listed: dict[int, Fraction]) -> Game:
+    """The game worth ``listed[mask]`` on each listed mask (all below ``2**n``), 0 elsewhere."""
+    den = math.lcm(*{value.denominator for value in listed.values()})
     table = [0] * (1 << n)
-    for mask, (num, d) in listed.items():
-        table[mask] = num * (den // d)
+    for mask, value in listed.items():
+        table[mask] = value.numerator * (den // value.denominator)
     return Game(n, RationalTable(table, den))
 
 

@@ -28,6 +28,7 @@ from .games import (
     Game,
     IntVector,
     RationalTable,
+    _as_fraction,
     coalition_sums,
     floor_values,
     in_core,
@@ -154,6 +155,8 @@ def lp_distance(x: Sequence[int], sv: Sequence[Fraction], p: int) -> Fraction:
     Shapley vector, in exact arithmetic."""
     if len(x) != len(sv):
         raise LengthMismatch(f"vectors of length {len(x)} and {len(sv)}")
-    if p < 1:
+    power = _as_fraction(p)
+    if power.denominator != 1 or power < 1:
         raise InvalidRange(f"exponent must be a positive integer, got {p}")
-    return sum((abs(Fraction(s) - xi) ** p for s, xi in zip(sv, x)), Fraction(0))
+    diffs = (abs(_as_fraction(s) - _as_fraction(xi)) for s, xi in zip(sv, x))
+    return sum((d**power for d in diffs), Fraction(0))

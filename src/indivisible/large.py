@@ -14,9 +14,12 @@ total exceeds what the attributions cover.
 
 from __future__ import annotations
 
+import math
+from itertools import chain
 from typing import Sequence
 
 from .errors import AlphaOutOfRange, DegenerateTotal, InvalidRange, LengthMismatch
+from .games import _as_fraction
 from .sampling import SamplerConfig, ValueOracle, _shapley_and_matrix
 
 DEFAULT_ALPHA = 0.5
@@ -38,6 +41,12 @@ def normalize_attributions(
     n = len(phi)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise LengthMismatch(f"matrix shape does not match {n} attributions")
+    try:  # TypeError: not a number; OverflowError: an int beyond float range
+        finite = all(map(math.isfinite, [target_total, *phi, *chain(*matrix)]))
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise InvalidRange("attributions and the target total must be finite numbers")
     if target_total <= 0:
         raise InvalidRange(f"target total must be positive, got {target_total}")
     shift = max(0.0, -min(phi)) if n else 0.0
@@ -98,10 +107,11 @@ def isv_large(
         raise LengthMismatch(f"matrix shape does not match {n} attributions")
     if not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
-    if total < 0 or int(total) != total:
+    units = _as_fraction(total)
+    if units.denominator != 1 or units < 0:
         raise InvalidRange(f"total must be a nonnegative integer, got {total}")
     grants = [0] * n
-    for pick, _ in _steps(list(phi), matrix, int(total), alpha):
+    for pick, _ in _steps(list(phi), matrix, int(units), alpha):
         grants[pick] += 1
     return grants
 

@@ -34,6 +34,8 @@ from .games import (
     Game,
     IntVector,
     RationalVector,
+    _as_fraction,
+    coalition,
     game_from_weights,
     members,
 )
@@ -59,13 +61,7 @@ class OwnerList:
 
 def owner_list(n: int, owner_sets: Iterable[Iterable[int]]) -> OwnerList:
     """Build an owner list from iterables of player indices."""
-    masks = []
-    for s in owner_sets:
-        mask = 0
-        for p in s:
-            mask |= 1 << p
-        masks.append(mask)
-    return OwnerList(n, tuple(masks))
+    return OwnerList(n, tuple(coalition(s) for s in owner_sets))
 
 
 def game_from_owners(ol: OwnerList, *, max_players: int = MAX_TABLE_PLAYERS) -> Game:
@@ -75,12 +71,14 @@ def game_from_owners(ol: OwnerList, *, max_players: int = MAX_TABLE_PLAYERS) -> 
 
 def shapley_from_owners(ol: OwnerList) -> RationalVector:
     """Closed-form Shapley value: an equal share of each owned object."""
-    sv = [Fraction(0)] * ol.n
+    # in units of 1 / scale, every share 1/|S| is a whole number
+    scale = math.lcm(*{mask.bit_count() for mask in ol.owners})
+    nums = [0] * ol.n
     for mask in ol.owners:
-        share = Fraction(1, mask.bit_count())
+        share = scale // mask.bit_count()
         for i in members(mask):
-            sv[i] += share
-    return tuple(sv)
+            nums[i] += share
+    return tuple(Fraction(x, scale) for x in nums)
 
 
 _FREE = -1
@@ -250,7 +248,7 @@ def isv_from_dividends(n: int, dividends: Iterable[tuple[int, Fraction]]) -> Int
         if mask in seen:
             raise DuplicateCoalition(f"coalition {members(mask)} listed twice")
         seen.add(mask)
-        d = d if isinstance(d, Fraction) else Fraction(d)
+        d = _as_fraction(d)
         if d < 0:
             raise NegativeDividend(f"dividend of {members(mask)} is {d}")
         if d == 0:

@@ -31,11 +31,12 @@ from .errors import (
     ChildExited,
     InvalidRange,
     OracleFailure,
+    PlayerOutOfRange,
     ProtocolViolation,
     SpawnFailure,
     TooManyPlayers,
 )
-from .games import Game
+from .games import Game, _as_fraction
 
 _CHUNK = 2048  # permutations per accumulation chunk; fixed for determinism
 _MEMO_SIZE = 1 << 20  # coalitions kept by MemoOracle
@@ -121,6 +122,7 @@ class SubprocessOracle(ValueOracle):
         if n < 1:
             raise InvalidRange(f"player count must be >= 1, got {n}")
         self.n = n
+        self._width = f"0{n}b"
         try:
             args = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:
@@ -139,14 +141,15 @@ class SubprocessOracle(ValueOracle):
             raise SpawnFailure(f"cannot spawn oracle {args!r}: {exc}") from exc
 
     def evaluate(self, mask: int) -> float:
-        query = "".join("1" if mask >> p & 1 else "0" for p in range(self.n))
+        if mask >> self.n:  # also true for every negative mask
+            raise PlayerOutOfRange(f"coalition mask {mask} has players outside 0..{self.n - 1}")
+        query = format(mask, self._width)[::-1]  # character p is bit p
         if self._proc.poll() is not None:
             raise ChildExited(
                 f"oracle exited with status {self._proc.returncode} before query {query}"
             )
         try:
-            self._proc.stdin.write(query + "\n")
-            self._proc.stdin.flush()
+            self._proc.stdin.write(query + "\n")  # line-buffered: the newline flushes
         except (BrokenPipeError, OSError) as exc:
             raise ChildExited(f"oracle pipe closed on query {query}: {exc}") from exc
         reply = self._proc.stdout.readline()
@@ -195,10 +198,11 @@ class SamplerConfig:
 
 def harmonic_tail(start: int, end: int) -> float:
     """Sum of 1/t for t from ``start`` to ``end`` inclusive; empty sum is 0."""
-    if start < 1 or start > end + 1:
+    first, last = _as_fraction(start), _as_fraction(end)
+    if first.denominator != 1 or last.denominator != 1 or not 1 <= first <= last + 1:
         raise InvalidRange(f"need 1 <= start <= end+1, got start={start}, end={end}")
     total = 0.0
-    for t in range(start, end + 1):
+    for t in range(int(first), int(last) + 1):
         total += 1.0 / t
     return total
 
@@ -263,6 +267,8 @@ def _sums(
         for perm in chunk:
             add(perm, ev, part)
         total = [a + b for a, b in zip(total, part)]
+    if not all(map(math.isfinite, total)):
+        raise OracleFailure("sampled sums overflow: oracle values are too large for floats")
     return total, count
 
 

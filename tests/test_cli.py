@@ -30,6 +30,14 @@ for line in sys.stdin:
     sys.stdout.flush()
 """
 
+PARITY_SCRIPT = """\
+import sys
+for line in sys.stdin:
+    size = line.count("1")
+    print(0 if size == 0 else "1e308" if size % 2 else "-1e308")
+    sys.stdout.flush()
+"""
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -272,3 +280,15 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert "nan" not in res.stdout and "inf" not in res.stdout
+
+    def test_overflowing_estimate_is_two(self, tmp_path):
+        cmd = oracle_command(tmp_path, PARITY_SCRIPT)
+        for args in (
+            ["sample", "3", "--oracle", cmd, "--k", "10"],
+            ["sample", "3", "--oracle", cmd, "--k", "10", "--matrix"],
+            ["large", "--oracle", cmd, "--n", "3", "--total", "1", "--k", "10"],
+        ):
+            res = run_cli(*args)
+            assert res.returncode == 2
+            assert res.stdout == ""
+            assert "Traceback" not in res.stderr

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from indivisible import ApprovalProfile, Region, RegionalVotes
-from indivisible.errors import ParseError
+from indivisible.errors import ParseError, TooManyPlayers
 from indivisible.formats import (
     format_approval_profile,
     format_game,
@@ -158,3 +158,60 @@ class TestValues:
     def test_parse_vector_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_vector("1/2,x")
+
+
+class TestValueSyntax:
+    """Game values accept exactly what ``Fraction(token)`` accepts."""
+
+    @pytest.mark.parametrize("token", ["3", "+3", "-3/4", "1_0", "\u0663", "3.5", "1e2", "-0"])
+    def test_accepted_as_fraction(self, token):
+        g = parse_game(f"players 1\n0 {token}\n")
+        assert g.values[1] == Fraction(token)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1/0", "3/-4", "0x1", "3/", "/4"])
+    def test_rejected_with_line(self, token):
+        with pytest.raises(ParseError) as exc:
+            parse_game(f"players 2\n# values\n0,1 {token}\n", source="v.game")
+        assert exc.value.line == 3
+        assert str(exc.value).startswith("v.game:3: ")
+
+
+HEADER_PARSERS = [
+    (parse_game, "players 2", "0,1 1"),
+    (parse_owner_list, "players 2", "0,1"),
+    (parse_approval_profile, "parties 2 A B", "1 0,1"),
+    (parse_regional, "parties 2 A B", "region 1 5 5"),
+]
+
+
+class TestHeader:
+    @pytest.mark.parametrize("parse, header, body", HEADER_PARSERS)
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", 1, "empty"),
+            ("# only comments\n\n", 1, "empty"),
+            ("# c\nwrong {count}\n{body}\n", 2, "expected '"),
+            ("# c\n{keyword}\n{body}\n", 2, "missing count"),
+            ("{keyword} x {names}\n{body}\n", 1, "bad count 'x'"),
+            ("\n\n{keyword} 0 {names}\n{body}\n", 3, "count must be >= 1, got 0"),
+            ("{keyword} -2 {names}\n{body}\n", 1, "count must be >= 1, got -2"),
+        ],
+    )
+    def test_header_errors(self, parse, header, body, text, line, message):
+        keyword, count, *names = header.split()
+        text = text.format(keyword=keyword, count=count, names=" ".join(names), body=body)
+        with pytest.raises(ParseError) as exc:
+            parse(text, source="h")
+        assert exc.value.line == line
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("parse, header, body", HEADER_PARSERS)
+    def test_good_header(self, parse, header, body):
+        parse(f"# c\n{header}\n{body}\n")
+
+    def test_player_cap_before_lines(self):
+        with pytest.raises(TooManyPlayers):
+            parse_game("players 21\n0,1 1\n0,1 x\n")
+        with pytest.raises(TooManyPlayers):
+            parse_game("players 21\nnot a line\n")

@@ -8,13 +8,18 @@ from indivisible import (
     Game,
     coalition,
     game_linear,
+    harmonic_tail,
     harsanyi_dividends,
     in_core,
     is_convex,
     is_positive,
     is_size_bounded,
+    isv_from_dividends,
+    isv_large,
+    lp_distance,
     make_game,
     members,
+    normalize_attributions,
     reduced_game,
     shapley_exact,
     shapley_matrix_exact,
@@ -23,6 +28,7 @@ from indivisible import (
 from indivisible.errors import (
     DuplicateCoalition,
     EmptySupportCoalition,
+    InvalidRange,
     LengthMismatch,
     NegativePayoff,
     NonzeroEmptySet,
@@ -460,3 +466,47 @@ class TestRepresentation:
             for i in members(mask):
                 expected[i] += F(d, mask.bit_count())
         assert shapley_exact(g) == tuple(expected)
+
+
+NAN, INF = float("nan"), float("inf")
+G1 = Game(1, (F(0), F(1)))
+
+BAD_NUMBERS = {
+    "make_game nan": lambda: make_game(1, [(1, NAN)]),
+    "make_game inf": lambda: make_game(1, [(1, -INF)]),
+    "make_game None": lambda: make_game(1, [(1, None)]),
+    "make_game abc": lambda: make_game(1, [(1, "abc")]),
+    "Game nan": lambda: Game(1, (0, NAN)),
+    "Game None": lambda: Game(1, (0, None)),
+    "game_linear inf": lambda: game_linear(INF, G1, 1, G1),
+    "game_linear abc": lambda: game_linear(1, G1, "abc", G1),
+    "reduced_game nan": lambda: reduced_game(G1, 0, NAN),
+    "reduced_game None": lambda: reduced_game(G1, 0, None),
+    "in_core inf": lambda: in_core(G1, [INF]),
+    "in_core abc": lambda: in_core(G1, ["abc"]),
+    "isv_from_dividends nan": lambda: isv_from_dividends(1, [(1, NAN)]),
+    "isv_from_dividends None": lambda: isv_from_dividends(1, [(1, None)]),
+    "lp_distance p=1.5": lambda: lp_distance([1], [F(1, 2)], 1.5),
+    "lp_distance p=nan": lambda: lp_distance([1], [F(1, 2)], NAN),
+    "lp_distance p=inf": lambda: lp_distance([1], [F(1, 2)], INF),
+    "lp_distance x=nan": lambda: lp_distance([NAN], [F(1, 2)], 2),
+    "isv_large total=nan": lambda: isv_large([1.0], [[0.0]], NAN),
+    "isv_large total=inf": lambda: isv_large([1.0], [[0.0]], INF),
+    "harmonic_tail 1.5": lambda: harmonic_tail(1.5, 3),
+    "harmonic_tail inf": lambda: harmonic_tail(1, INF),
+    "normalize nan phi": lambda: normalize_attributions([NAN, 1.0], [[0.0, 0.0], [0.0, 0.0]], 1),
+    "normalize inf matrix": lambda: normalize_attributions([1.0], [[INF]], 1),
+    "normalize nan target": lambda: normalize_attributions([1.0], [[0.0]], NAN),
+}
+
+
+@pytest.mark.parametrize("call", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_bad_number_is_invalid_range(call):
+    with pytest.raises(InvalidRange):
+        call()
+
+
+def test_whole_float_counts_still_accepted():
+    assert lp_distance([1, 0], [F(1, 2), F(1, 2)], 2.0) == F(1, 2)
+    assert isv_large([2.0, 1.0], [[0.0, 0.0], [0.0, 0.0]], 3.0) == [2, 1]
+    assert harmonic_tail(2.0, 2) == 0.5

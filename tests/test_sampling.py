@@ -22,10 +22,13 @@ from indivisible import (
 from indivisible.errors import (
     ChildExited,
     InvalidRange,
+    OracleFailure,
+    PlayerOutOfRange,
     ProtocolViolation,
     SpawnFailure,
     TooManyPlayers,
 )
+from indivisible.large import select_top_k
 from indivisible.sampling import _CHUNK, _shapley_and_matrix
 
 from oracles import random_game, two_goods_game
@@ -40,6 +43,14 @@ ADDITIVE_CHILD = [
     "for line in sys.stdin:\n"
     "    bits = line.strip()\n"
     "    print(sum(i + 1 for i, c in enumerate(bits) if c == '1'))\n",
+]
+
+# answers each query with the mask it encodes, so character p must be bit p
+MASK_CHILD = [
+    sys.executable,
+    "-u",
+    "-c",
+    "import sys\nfor line in sys.stdin:\n    print(int(line.strip()[::-1], 2))\n",
 ]
 
 
@@ -296,7 +307,43 @@ class TestSubprocessOracle:
         assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
         assert oracle._proc.returncode is not None
 
+    @pytest.mark.parametrize("n", [1, 24, 64])
+    def test_query_string_encodes_mask(self, n):
+        rng = random.Random(n)
+        masks = {0, 1, 1 << (n - 1), (1 << n) - 1} | {rng.getrandbits(n) for _ in range(50)}
+        with SubprocessOracle(MASK_CHILD, n) as oracle:
+            for mask in sorted(masks):
+                # replies are floats; above 2**53 they are the rounded mask
+                assert oracle.evaluate(mask) == float(mask)
+            for mask in (1 << n, -1):
+                with pytest.raises(PlayerOutOfRange):
+                    oracle.evaluate(mask)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_player_count_validated(self, n):
         with pytest.raises(InvalidRange):
             SubprocessOracle(ADDITIVE_CHILD, n)
+
+
+class TestOverflowingSums:
+    """Finite replies whose sums overflow must not come back as nan or inf."""
+
+    @staticmethod
+    def parity_oracle(n):
+        return FunctionOracle(
+            n, lambda mask: 0.0 if mask == 0 else (1e308 if mask.bit_count() % 2 else -1e308)
+        )
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_sample_shapley(self, exhaustive):
+        cfg = SamplerConfig(samples=10, exhaustive=exhaustive)
+        with pytest.raises(OracleFailure):
+            sample_shapley(self.parity_oracle(3), cfg)
+
+    def test_sample_shapley_matrix(self):
+        with pytest.raises(OracleFailure):
+            sample_shapley_matrix(self.parity_oracle(3), SamplerConfig(samples=10))
+
+    def test_select_top_k(self):
+        with pytest.raises(OracleFailure):
+            select_top_k(self.parity_oracle(3), 1, SamplerConfig(samples=10))
