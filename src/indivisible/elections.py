@@ -13,20 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    AllZeroVotes,
-    EmptySupportCoalition,
-    InvalidRange,
-    NoBallots,
-    PlayerOutOfRange,
-    TooManyParties,
-)
+from .errors import AllZeroVotes, EmptySupportCoalition, InvalidRange, NoBallots
 from .games import (
     MAX_TABLE_PLAYERS,
     Game,
     IntVector,
     RationalTable,
+    _check_coalition,
     _check_player_count,
+    _whole,
+    coalition,
     coalition_sums,
     game_from_weights,
 )
@@ -45,14 +41,18 @@ class ApprovalProfile:
     ballots: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        m = len(self.parties)
+        ballots = []
         for mask, mult in self.ballots:
             if mask == 0:
                 raise EmptySupportCoalition("ballots approving no party are rejected")
-            if mask < 0 or mask >= 1 << m:
-                raise PlayerOutOfRange(f"ballot approves parties outside 0..{m - 1}")
-            if mult < 1:
-                raise InvalidRange(f"ballot multiplicity must be >= 1, got {mult}")
+            _check_coalition(mask, len(self.parties), "ballot")
+            ballots.append((mask, _whole(mult, "ballot multiplicity", 1)))
+        object.__setattr__(self, "ballots", tuple(ballots))
+
+
+def _check_votes(votes: Sequence[int]) -> None:
+    if any(v < 0 for v in votes):
+        raise InvalidRange("vote totals must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,10 @@ class Region:
     votes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.seats < 1:
-            raise InvalidRange(f"region must have >= 1 seat, got {self.seats}")
-        if any(v < 0 for v in self.votes):
-            raise InvalidRange("vote totals must be nonnegative")
+        object.__setattr__(self, "seats", _whole(self.seats, "seat count", 1))
+        _check_votes(self.votes)
         if not any(self.votes):
-            raise AllZeroVotes("every region needs at least one positive vote")
+            raise AllZeroVotes("at least one party needs a positive vote total")
 
 
 @dataclass(frozen=True)
@@ -82,17 +80,13 @@ def game_from_approvals(
     """The approval game: a party coalition is worth the seat share of the
     voters whose whole approval set it covers.  Exact rationals; the grand
     coalition is worth the full (integer) seat count."""
-    m = len(profile.parties)
-    if m > max_parties:
-        raise TooManyParties(f"at most {max_parties} parties supported, got {m}")
     if not profile.ballots:
         raise NoBallots("cannot build a game from zero ballots")
-    if seats < 1:
-        raise InvalidRange(f"seat count must be >= 1, got {seats}")
+    seats = _whole(seats, "seat count", 1)
     total = sum(mult for _, mult in profile.ballots)
     # a coalition covers the voters of every ballot that is a subset of it
     weights = ((amask, seats * mult) for amask, mult in profile.ballots)
-    return game_from_weights(m, weights, total, max_players=max_parties)
+    return game_from_weights(len(profile.parties), weights, total, max_players=max_parties)
 
 
 def apportion_isv(profile: ApprovalProfile, seats: int) -> IntVector:
@@ -106,12 +100,12 @@ def dhondt(votes: Sequence[int], seats: int) -> IntVector:
     Quotient ties go to the larger raw vote total, then to the lower party
     index, so results are reproducible.
     """
-    if seats < 1:
-        raise InvalidRange(f"seat count must be >= 1, got {seats}")
-    if any(v < 0 for v in votes):
-        raise InvalidRange("vote totals must be nonnegative")
-    if not any(votes):
-        raise AllZeroVotes("at least one party needs a positive vote total")
+    region = Region(seats, tuple(votes))
+    return _dhondt(region.votes, region.seats)
+
+
+def _dhondt(votes: Sequence[int], seats: int) -> IntVector:
+    """``dhondt`` on votes and a seat count already checked by ``Region``."""
     alloc = [0] * len(votes)
     for _ in range(seats):
         best = 0
@@ -145,15 +139,15 @@ def coalition_game_from_regions(
         raise InvalidRange(
             f"{len(outsiders)} outsider lists for {len(rv.regions)} regions"
         )
-    for region in rv.regions:
-        for p in parties:
-            if p < 0 or p >= len(region.votes):
-                raise PlayerOutOfRange(f"party {p} missing from a region's vote table")
+    party_mask = coalition(parties)
+    for region, outs in zip(rv.regions, outsiders):
+        _check_coalition(party_mask, len(region.votes), "member parties")
+        _check_votes(outs)
     table = [0] * (1 << m)
     for region, outs in zip(rv.regions, outsiders):
         merged = coalition_sums([region.votes[p] for p in parties])
         for mask in range(1, 1 << m):
             lists = [merged[mask], *outs]
             if any(lists):
-                table[mask] += dhondt(lists, region.seats)[0]
+                table[mask] += _dhondt(lists, region.seats)[0]
     return Game(m, RationalTable(table))

@@ -74,10 +74,6 @@ class NonIntegerResidue(ValidationError):
     """Dividend residue multiplicities must be whole numbers."""
 
 
-class TooManyParties(ValidationError):
-    pass
-
-
 class NoBallots(ValidationError):
     pass
 

@@ -32,7 +32,11 @@ def _content_lines(text: str):
 
 
 def _parse_fraction(token: str, source: str, lineno: int) -> Fraction:
+    exponent = token.upper().partition("E")[2]
     try:
+        # Fraction expands any exponent exactly; 4300 is Python's cap on int digit strings
+        if exponent and abs(int(exponent)) > 4300:
+            raise ValueError(exponent)
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(source, lineno, f"bad rational value {token!r}") from None
@@ -59,7 +63,7 @@ def _parse_indices(token: str, n: int, source: str, lineno: int) -> int:
 
 def _read_header(text: str, keyword: str, what: str, source: str):
     """The content lines after a ``what`` file's ``<keyword> <count> ...`` header,
-    plus the header's line number, its count (at least 1) and further fields."""
+    plus the header's line number, its count (at least 1) and the party names, if any."""
     lines = _content_lines(text)
     lineno, header = next(lines, (1, None))
     if header is None:
@@ -75,7 +79,11 @@ def _read_header(text: str, keyword: str, what: str, source: str):
         raise ParseError(source, lineno, f"bad count {parts[1]!r}") from None
     if count < 1:
         raise ParseError(source, lineno, f"count must be >= 1, got {count}")
-    return lines, lineno, count, parts[2:]
+    names = parts[2:]
+    wanted = count if keyword == "parties" else 0
+    if len(names) != wanted:
+        raise ParseError(source, lineno, f"expected {wanted} names, got {len(names)}")
+    return lines, lineno, count, names
 
 
 def parse_game(text: str, source: str = "<game>") -> Game:
@@ -126,9 +134,7 @@ def format_owner_list(ol: OwnerList) -> str:
 def parse_approval_profile(text: str, source: str = "<ballots>") -> ApprovalProfile:
     """Parse the ballot format: ``parties <m> <name0> <name1> ...``, then one
     ``<count> <i1>,<i2>,...`` line per distinct approval set."""
-    lines, lineno, m, names = _read_header(text, "parties", "ballot", source)
-    if len(names) != m:
-        raise ParseError(source, lineno, f"expected {m} party names, got {len(names)}")
+    lines, _, m, names = _read_header(text, "parties", "ballot", source)
     ballots = []
     for lineno, line in lines:
         fields = line.split()
@@ -158,8 +164,6 @@ def parse_regional(
     ``region <seats> <v0> ... <vm-1> | <outsider totals...>`` line per
     region (the bar and outsider totals may be omitted)."""
     lines, lineno, m, names = _read_header(text, "parties", "regional", source)
-    if len(names) != m:
-        raise ParseError(source, lineno, f"expected {m} party names, got {len(names)}")
     regions = []
     outsiders = []
     for lineno, line in lines:

@@ -47,12 +47,16 @@ def coalition(players: Iterable[int]) -> int:
     """Bit mask of the given player indices."""
     mask = 0
     for p in players:
+        if not isinstance(p, int) or p < 0:
+            raise PlayerOutOfRange(f"player index must be an int >= 0, got {p!r}")
         mask |= 1 << p
     return mask
 
 
 def members(mask: int) -> tuple[int, ...]:
     """Players in the coalition, ascending."""
+    if mask < 0:
+        raise PlayerOutOfRange(f"coalition mask must be >= 0, got {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -67,6 +71,20 @@ def _as_fraction(x) -> Fraction:
         return Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InvalidRange(f"not a finite rational: {x!r}") from None
+
+
+def _whole(x, what: str, least: int) -> int:
+    """``x`` as an int, if it is a whole rational ``>= least``."""
+    value = _as_fraction(x)
+    if value.denominator != 1 or value < least:
+        raise InvalidRange(f"{what} must be a whole number >= {least}, got {x!r}")
+    return int(value)
+
+
+def _check_coalition(mask, n: int, what: str) -> None:
+    """Accept only an int ``mask`` with ``0 <= mask < 2**n``."""
+    if not isinstance(mask, int) or mask >> n:  # a negative mask shifts to -1
+        raise PlayerOutOfRange(f"{what} mask {mask!r} is not a coalition of players 0..{n - 1}")
 
 
 class RationalTable(Sequence):
@@ -143,6 +161,7 @@ class Game:
     values: RationalTable
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _whole(self.n, "player count", 0))
         values = RationalTable.of(self.values)
         object.__setattr__(self, "values", values)
         if len(values) != 1 << self.n:
@@ -214,8 +233,8 @@ def coalition_sums(x: Sequence[int]) -> list[int]:
 
 
 def _check_player_count(n: int, max_players: int) -> None:
-    if n < 1:
-        raise PlayerOutOfRange(f"player count must be >= 1, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise PlayerOutOfRange(f"player count must be an int >= 1, got {n!r}")
     if n > max_players:
         raise TooManyPlayers(
             f"full value tables support at most {max_players} players, got {n}"
@@ -232,8 +251,7 @@ def make_game(
     _check_player_count(n, max_players)
     listed: dict[int, Fraction] = {}
     for mask, value in entries:
-        if mask < 0 or mask >= 1 << n:
-            raise PlayerOutOfRange(f"coalition {bin(mask)} has players outside 0..{n - 1}")
+        _check_coalition(mask, n, "coalition")
         if mask in listed:
             raise DuplicateCoalition(f"coalition {members(mask)} listed twice")
         listed[mask] = _as_fraction(value)
@@ -276,8 +294,7 @@ def unanimity_game(n: int, support: int, *, max_players: int = MAX_TABLE_PLAYERS
     if support == 0:
         raise EmptySupportCoalition("unanimity games need a nonempty support coalition")
     _check_player_count(n, max_players)
-    if support >= 1 << n:
-        raise PlayerOutOfRange(f"support {members(support)} has players outside 0..{n - 1}")
+    _check_coalition(support, n, "support")
     return Game(n, RationalTable(int(mask & support == support) for mask in range(1 << n)))
 
 

@@ -23,12 +23,13 @@ from itertools import product
 from operator import sub
 from typing import Sequence
 
-from .errors import EmptyFeasibleSet, InvalidRange, LengthMismatch, NotIndivisible
+from .errors import EmptyFeasibleSet, LengthMismatch, NotIndivisible
 from .games import (
     Game,
     IntVector,
     RationalTable,
     _as_fraction,
+    _whole,
     coalition_sums,
     floor_values,
     in_core,
@@ -155,8 +156,6 @@ def lp_distance(x: Sequence[int], sv: Sequence[Fraction], p: int) -> Fraction:
     Shapley vector, in exact arithmetic."""
     if len(x) != len(sv):
         raise LengthMismatch(f"vectors of length {len(x)} and {len(sv)}")
-    power = _as_fraction(p)
-    if power.denominator != 1 or power < 1:
-        raise InvalidRange(f"exponent must be a positive integer, got {p}")
+    power = _whole(p, "exponent", 1)
     diffs = (abs(_as_fraction(s) - _as_fraction(xi)) for s, xi in zip(sv, x))
     return sum((d**power for d in diffs), Fraction(0))

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import AlphaOutOfRange, DegenerateTotal, InvalidRange, LengthMismatch
-from .games import _as_fraction
+from .games import _whole
 from .sampling import SamplerConfig, ValueOracle, _shapley_and_matrix
 
 DEFAULT_ALPHA = 0.5
@@ -107,11 +107,8 @@ def isv_large(
         raise LengthMismatch(f"matrix shape does not match {n} attributions")
     if not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
-    units = _as_fraction(total)
-    if units.denominator != 1 or units < 0:
-        raise InvalidRange(f"total must be a nonnegative integer, got {total}")
     grants = [0] * n
-    for pick, _ in _steps(list(phi), matrix, int(units), alpha):
+    for pick, _ in _steps(list(phi), matrix, _whole(total, "total", 0), alpha):
         grants[pick] += 1
     return grants
 
@@ -131,8 +128,7 @@ def select_top_k(
     is a 0/1 selection mask, but multiple grants to one player are
     possible and returned as-is.
     """
-    if k < 1:
-        raise InvalidRange(f"selection size must be >= 1, got {k}")
+    k = _whole(k, "selection size", 1)
     phi, matrix = _shapley_and_matrix(oracle, cfg)
     phi, matrix = normalize_attributions(phi, matrix, k)
     return isv_large(phi, matrix, k, alpha)

@@ -27,7 +27,6 @@ from .errors import (
     InvalidRange,
     NegativeDividend,
     NonIntegerResidue,
-    PlayerOutOfRange,
 )
 from .games import (
     MAX_TABLE_PLAYERS,
@@ -35,6 +34,8 @@ from .games import (
     IntVector,
     RationalVector,
     _as_fraction,
+    _check_coalition,
+    _whole,
     coalition,
     game_from_weights,
     members,
@@ -50,13 +51,11 @@ class OwnerList:
     owners: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _whole(self.n, "player count", 0))
         for mask in self.owners:
             if mask == 0:
                 raise EmptySupportCoalition("every object needs at least one owner")
-            if mask < 0 or mask >= 1 << self.n:
-                raise PlayerOutOfRange(
-                    f"owners {members(mask)} outside 0..{self.n - 1}"
-                )
+            _check_coalition(mask, self.n, "owners")
 
 
 def owner_list(n: int, owner_sets: Iterable[Iterable[int]]) -> OwnerList:
@@ -100,8 +99,6 @@ class MatchingGraph:
         # each player's objects in ascending order, shared by all its copies
         player_objects: dict[int, list[int]] = {}
         for j, owners in enumerate(self._object_owners):
-            if owners < 0:
-                raise PlayerOutOfRange(f"object {j} has a negative owner mask {owners}")
             for p in members(owners):
                 player_objects.setdefault(p, []).append(j)
         self._player_objects = {p: tuple(objs) for p, objs in player_objects.items()}
@@ -237,14 +234,14 @@ def isv_from_dividends(n: int, dividends: Iterable[tuple[int, Fraction]]) -> Int
     an owner list allocated via matching.  Polynomial in the number of
     listed dividends and players.
     """
+    n = _whole(n, "player count", 0)
     base = [0] * n
     residual: list[int] = []
     seen = set()
     for mask, d in dividends:
         if mask == 0:
             raise EmptySupportCoalition("dividends are defined for nonempty coalitions")
-        if mask < 0 or mask >= 1 << n:
-            raise PlayerOutOfRange(f"coalition {members(mask)} outside 0..{n - 1}")
+        _check_coalition(mask, n, "coalition")
         if mask in seen:
             raise DuplicateCoalition(f"coalition {members(mask)} listed twice")
         seen.add(mask)

@@ -31,12 +31,11 @@ from .errors import (
     ChildExited,
     InvalidRange,
     OracleFailure,
-    PlayerOutOfRange,
     ProtocolViolation,
     SpawnFailure,
     TooManyPlayers,
 )
-from .games import Game, _as_fraction
+from .games import Game, _check_coalition, _whole
 
 _CHUNK = 2048  # permutations per accumulation chunk; fixed for determinism
 _MEMO_SIZE = 1 << 20  # coalitions kept by MemoOracle
@@ -66,6 +65,7 @@ class TableOracle(ValueOracle):
         self._values = game.values
 
     def evaluate(self, mask: int) -> float:
+        _check_coalition(mask, self.n, "coalition")
         return float(self._values[mask])
 
 
@@ -119,10 +119,8 @@ class SubprocessOracle(ValueOracle):
     """
 
     def __init__(self, command: str | Sequence[str], n: int):
-        if n < 1:
-            raise InvalidRange(f"player count must be >= 1, got {n}")
-        self.n = n
-        self._width = f"0{n}b"
+        self.n = _whole(n, "player count", 1)
+        self._width = f"0{self.n}b"
         try:
             args = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:
@@ -141,8 +139,7 @@ class SubprocessOracle(ValueOracle):
             raise SpawnFailure(f"cannot spawn oracle {args!r}: {exc}") from exc
 
     def evaluate(self, mask: int) -> float:
-        if mask >> self.n:  # also true for every negative mask
-            raise PlayerOutOfRange(f"coalition mask {mask} has players outside 0..{self.n - 1}")
+        _check_coalition(mask, self.n, "coalition")
         query = format(mask, self._width)[::-1]  # character p is bit p
         if self._proc.poll() is not None:
             raise ChildExited(
@@ -198,11 +195,9 @@ class SamplerConfig:
 
 def harmonic_tail(start: int, end: int) -> float:
     """Sum of 1/t for t from ``start`` to ``end`` inclusive; empty sum is 0."""
-    first, last = _as_fraction(start), _as_fraction(end)
-    if first.denominator != 1 or last.denominator != 1 or not 1 <= first <= last + 1:
-        raise InvalidRange(f"need 1 <= start <= end+1, got start={start}, end={end}")
+    first = _whole(start, "start", 1)
     total = 0.0
-    for t in range(int(first), int(last) + 1):
+    for t in range(first, _whole(end, "end", first - 1) + 1):
         total += 1.0 / t
     return total
 

@@ -163,12 +163,16 @@ class TestValues:
 class TestValueSyntax:
     """Game values accept exactly what ``Fraction(token)`` accepts."""
 
-    @pytest.mark.parametrize("token", ["3", "+3", "-3/4", "1_0", "\u0663", "3.5", "1e2", "-0"])
+    @pytest.mark.parametrize(
+        "token", ["3", "+3", "-3/4", "1_0", "\u0663", "3.5", "1e2", "-0", "1e4300"]
+    )
     def test_accepted_as_fraction(self, token):
         g = parse_game(f"players 1\n0 {token}\n")
         assert g.values[1] == Fraction(token)
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "1/0", "3/-4", "0x1", "3/", "/4"])
+    @pytest.mark.parametrize(
+        "token", ["nan", "inf", "1/0", "3/-4", "0x1", "3/", "/4", "1e300000", "1e-300000"]
+    )
     def test_rejected_with_line(self, token):
         with pytest.raises(ParseError) as exc:
             parse_game(f"players 2\n# values\n0,1 {token}\n", source="v.game")
@@ -196,6 +200,7 @@ class TestHeader:
             ("{keyword} x {names}\n{body}\n", 1, "bad count 'x'"),
             ("\n\n{keyword} 0 {names}\n{body}\n", 3, "count must be >= 1, got 0"),
             ("{keyword} -2 {names}\n{body}\n", 1, "count must be >= 1, got -2"),
+            ("# c\n{keyword} {count} {names} extra\n{body}\n", 2, "names, got"),
         ],
     )
     def test_header_errors(self, parse, header, body, text, line, message):

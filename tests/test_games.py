@@ -1,12 +1,22 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
 from indivisible import (
+    ApprovalProfile,
     Game,
+    OwnerList,
+    Region,
+    RegionalVotes,
+    SubprocessOracle,
+    TableOracle,
     coalition,
+    coalition_game_from_regions,
+    dhondt,
+    game_from_approvals,
     game_linear,
     harmonic_tail,
     harsanyi_dividends,
@@ -20,6 +30,7 @@ from indivisible import (
     make_game,
     members,
     normalize_attributions,
+    owner_list,
     reduced_game,
     shapley_exact,
     shapley_matrix_exact,
@@ -34,6 +45,7 @@ from indivisible.errors import (
     NonzeroEmptySet,
     PlayerCountMismatch,
     PlayerOutOfRange,
+    SolverError,
     TooManyPlayers,
 )
 
@@ -510,3 +522,61 @@ def test_whole_float_counts_still_accepted():
     assert lp_distance([1, 0], [F(1, 2), F(1, 2)], 2.0) == F(1, 2)
     assert isv_large([2.0, 1.0], [[0.0, 0.0], [0.0, 0.0]], 3.0) == [2, 1]
     assert harmonic_tail(2.0, 2) == 0.5
+    assert game_from_approvals(ApprovalProfile(("A",), ((1, 2.0),)), 3.0).values[1] == 3
+    assert dhondt([1, 2], 3.0) == (1, 2)
+
+
+def _oracle_query(command, n):
+    with SubprocessOracle(command, n) as oracle:
+        return oracle.evaluate(1)
+
+
+G3 = unanimity_game(3, 0b011)
+PROFILE = ApprovalProfile(("A", "B"), ((0b01, 3), (0b11, 1)))
+
+# Each call must raise its error promptly: no hang, no silent wrong answer,
+# no bare TypeError/ValueError/IndexError.
+GUARANTEES = {
+    "members -1": (lambda: members(-1), PlayerOutOfRange),
+    "OwnerList -1": (lambda: OwnerList(2, (-1,)), PlayerOutOfRange),
+    "isv_from_dividends -1": (lambda: isv_from_dividends(2, [(-1, 1)]), PlayerOutOfRange),
+    "unanimity_game -1": (lambda: unanimity_game(3, -1), PlayerOutOfRange),
+    "TableOracle -1": (lambda: TableOracle(G3).evaluate(-1), PlayerOutOfRange),
+    "TableOracle 8": (lambda: TableOracle(G3).evaluate(8), PlayerOutOfRange),
+    "coalition [-1]": (lambda: coalition([-1]), PlayerOutOfRange),
+    "owner_list [[-1]]": (lambda: owner_list(2, [[-1]]), PlayerOutOfRange),
+    "make_game mask 1.5": (lambda: make_game(2, [(1.5, 1)]), PlayerOutOfRange),
+    "make_game n=2.5": (lambda: make_game(2.5, []), PlayerOutOfRange),
+    "Game n=-1": (lambda: Game(-1, (0,)), InvalidRange),
+    "OwnerList n=2.5": (lambda: OwnerList(2.5, (1,)), InvalidRange),
+    "isv_from_dividends n=2.5": (lambda: isv_from_dividends(2.5, [(1, 1)]), InvalidRange),
+    "ApprovalProfile mult 1.5": (lambda: ApprovalProfile(("A",), ((1, 1.5),)), InvalidRange),
+    "game_from_approvals 2.5 seats": (lambda: game_from_approvals(PROFILE, 2.5), InvalidRange),
+    "Region 2.5 seats": (
+        lambda: coalition_game_from_regions(RegionalVotes((Region(2.5, (3, 4)),)), (0, 1), [()]),
+        InvalidRange,
+    ),
+    "member party 1.5": (
+        lambda: coalition_game_from_regions(RegionalVotes((Region(2, (3, 4)),)), (0, 1.5), [()]),
+        PlayerOutOfRange,
+    ),
+    "dhondt 2.5 seats": (lambda: dhondt([1, 2], 2.5), InvalidRange),
+    "SubprocessOracle n=2.5": (lambda: _oracle_query("cat", 2.5), InvalidRange),
+}
+
+
+def _past_deadline(signum, frame):
+    raise TimeoutError("the call did not return within 5 s")
+
+
+@pytest.mark.parametrize("call, error", GUARANTEES.values(), ids=GUARANTEES.keys())
+def test_bad_coalition_or_count_raises_solver_error(call, error):
+    assert issubclass(error, SolverError)
+    previous = signal.signal(signal.SIGALRM, _past_deadline)
+    signal.alarm(5)
+    try:
+        with pytest.raises(error):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
