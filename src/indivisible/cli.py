@@ -1,27 +1,29 @@
 """Command-line front end.
 
-Every subcommand reads files or oracle commands given on the command line,
-never the environment, and all randomness is controlled by an explicit
-``--seed`` flag (default 0), so identical invocations produce byte-identical
-output.  ``--format machine`` emits one JSON document per invocation with
-the fields {command, players, values, total, trace}.
+Every subcommand reads UTF-8 files or oracle commands given on the command
+line, never the environment, and all randomness is controlled by an
+explicit ``--seed`` flag (default 0), so identical invocations produce
+byte-identical output.  Each result is written to stdout once, after it is
+computed: as text lines, or with ``--format machine`` as one JSON document
+with the fields {command, players, values, total, trace}.
 
-Exit codes: 0 success, 1 invalid input, 2 oracle or protocol failure.
+Exit codes: 0 success, 1 invalid input or a stdout closed by its reader
+(no message), 2 oracle or protocol failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import formats
 from .elections import apportion_isv, coalition_game_from_regions, dhondt
 from .errors import OracleFailure, SolverError
 from .games import (
-    Game,
     harsanyi_dividends,
     in_core,
     is_convex,
@@ -56,158 +58,130 @@ def _render(value) -> str:
     return str(value)
 
 
-def _emit(out, fmt: str, command: str, players: int, values, total, trace=None, lines=None):
-    """Write one result record; ``lines`` overrides the default human lines."""
+class _Result(NamedTuple):
+    """What a subcommand found.  The human form is ``lines`` (by default one
+    ``player`` line per value), then a ``total`` line unless ``total`` is None."""
+
+    players: int
+    values: object
+    total: object
+    trace: object = None
+    lines: list[str] | None = None
+
+
+def _format(result: _Result, command: str, fmt: str) -> str:
     if fmt == "machine":
-        doc = {
-            "command": command,
-            "players": players,
-            "values": values,
-            "total": total,
-            "trace": trace,
-        }
-        out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-        return
+        doc = dict(zip(("players", "values", "total", "trace"), result), command=command)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    lines = result.lines
     if lines is None:
-        lines = [f"player {i} {v}" for i, v in enumerate(values)]
-        lines.append(f"total {total}")
-    for line in lines:
-        out.write(line + "\n")
+        lines = [f"player {i} {v}" for i, v in enumerate(result.values)]
+    if result.total is not None:
+        lines = [*lines, f"total {result.total}"]
+    return "".join(line + "\n" for line in lines)
 
 
-def _read(path: str) -> str:
+def _read(path: str, parse):
+    """The parsed contents of the UTF-8 file at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
+    return parse(text, source=path)
 
 
-def _load_game(path: str) -> Game:
-    return formats.parse_game(_read(path), source=path)
+def _rows(mat, total: str) -> _Result:
+    """A matrix result, one ``row`` line per player."""
+    values = [[_render(v) for v in row] for row in mat]
+    lines = [f"row {i} " + " ".join(row) for i, row in enumerate(values)]
+    return _Result(len(values), values, total, lines=lines)
 
 
-def _cmd_shapley(args, out) -> None:
-    g = _load_game(args.game)
-    sv = shapley_exact(g)
-    values = [_render(v) for v in sv]
-    _emit(out, args.format, "shapley", g.n, values, _render(g.grand_value))
+def _cmd_shapley(args) -> _Result:
+    g = _read(args.game, formats.parse_game)
+    return _Result(g.n, [_render(v) for v in shapley_exact(g)], _render(g.grand_value))
 
 
-def _cmd_dividends(args, out) -> None:
-    g = _load_game(args.game)
+def _cmd_dividends(args) -> _Result:
+    g = _read(args.game, formats.parse_game)
     dividends = harsanyi_dividends(g)
-    nums = dividends.nums
     entries = [
         (",".join(str(i) for i in members(mask)), _render(dividends[mask]))
         for mask in range(1, 1 << g.n)
-        if nums[mask] != 0
+        if dividends.nums[mask] != 0
     ]
-    total = _render(Fraction(sum(nums), dividends.den))
-    lines = [f"coalition {ix} {val}" for ix, val in entries] + [f"total {total}"]
-    _emit(out, args.format, "dividends", g.n, entries, total, lines=lines)
+    total = _render(Fraction(sum(dividends.nums), dividends.den))
+    return _Result(g.n, entries, total, lines=[f"coalition {ix} {v}" for ix, v in entries])
 
 
-def _cmd_check(args, out) -> None:
-    g = _load_game(args.game)
+def _cmd_check(args) -> _Result:
+    g = _read(args.game, formats.parse_game)
     checks = {
         "convex": is_convex(g),
         "positive": is_positive(g),
         "size-bounded": is_size_bounded(g),
     }
     if args.vector is not None:
-        vector = formats.parse_vector(args.vector)
-        checks["core"] = in_core(g, vector)
+        checks["core"] = in_core(g, formats.parse_vector(args.vector))
     lines = [f"{name}: {'yes' if ok else 'no'}" for name, ok in checks.items()]
-    _emit(out, args.format, "check", g.n, {k: v for k, v in checks.items()}, None, lines=lines)
+    return _Result(g.n, checks, None, lines=lines)
 
 
-def _cmd_isv(args, out) -> None:
-    g = _load_game(args.game)
+def _cmd_isv(args) -> _Result:
+    g = _read(args.game, formats.parse_game)
     result = indivisible_shapley(g)
-    values = [str(p) for p in result.payoffs]
     trace = [[kind, player, amount] for kind, player, amount in result.trace]
-    _emit(out, args.format, "isv", g.n, values, str(sum(result.payoffs)), trace=trace)
+    return _Result(g.n, [str(p) for p in result.payoffs], str(sum(result.payoffs)), trace)
 
 
-def _cmd_matrix(args, out) -> None:
-    g = _load_game(args.game)
-    mat = shapley_matrix_exact(g)
-    values = [[_render(v) for v in row] for row in mat]
-    lines = [f"row {i} " + " ".join(row) for i, row in enumerate(values)]
-    lines.append(f"total {_render(g.grand_value)}")
-    _emit(out, args.format, "matrix", g.n, values, _render(g.grand_value), lines=lines)
+def _cmd_matrix(args) -> _Result:
+    g = _read(args.game, formats.parse_game)
+    return _rows(shapley_matrix_exact(g), _render(g.grand_value))
 
 
-def _sampler_config(args) -> SamplerConfig:
-    return SamplerConfig(
-        samples=args.k,
-        seed=args.seed,
-        exhaustive=args.exhaustive,
-    )
-
-
-def _cmd_sample(args, out) -> None:
+def _cmd_sample(args) -> _Result:
+    cfg = SamplerConfig(args.k, args.seed, args.exhaustive)
     with SubprocessOracle(args.oracle, args.n) as oracle:
-        cfg = _sampler_config(args)
         if args.matrix:
             mat = sample_shapley_matrix(oracle, cfg)
-            total = _render(sum(v for row in mat for v in row))
-            values = [[_render(v) for v in row] for row in mat]
-            lines = [f"row {i} " + " ".join(row) for i, row in enumerate(values)]
-            lines.append(f"total {total}")
-            _emit(out, args.format, "sample", args.n, values, total, lines=lines)
-        else:
-            sv = sample_shapley(oracle, cfg)
-            values = [_render(v) for v in sv]
-            total = _render(sum(sv))
-            _emit(out, args.format, "sample", args.n, values, total)
+            return _rows(mat, _render(sum(v for row in mat for v in row)))
+        sv = sample_shapley(oracle, cfg)
+    return _Result(args.n, [_render(v) for v in sv], _render(sum(sv)))
 
 
-def _cmd_large(args, out) -> None:
+def _cmd_large(args) -> _Result:
     with SubprocessOracle(args.oracle, args.n) as oracle:
-        grants = select_top_k(oracle, args.total, _sampler_config(args), args.alpha)
-    values = [str(v) for v in grants]
-    _emit(out, args.format, "large", args.n, values, str(sum(grants)))
+        cfg = SamplerConfig(args.k, args.seed, args.exhaustive)
+        grants = select_top_k(oracle, args.total, cfg, args.alpha)
+    return _Result(args.n, [str(v) for v in grants], str(sum(grants)))
 
 
-def _cmd_allocate(args, out) -> None:
-    ol = formats.parse_owner_list(_read(args.owners), source=args.owners)
+def _cmd_allocate(args) -> _Result:
+    ol = _read(args.owners, formats.parse_owner_list)
     allocation = isv_allocation(ol)
-    lines = [f"{j} -> {p}" for j, p in enumerate(allocation.assignment)]
-    lines += [f"player {i} {c}" for i, c in enumerate(allocation.counts)]
-    lines.append(f"total {sum(allocation.counts)}")
-    _emit(
-        out,
-        args.format,
-        "allocate",
-        ol.n,
-        [str(c) for c in allocation.counts],
-        str(sum(allocation.counts)),
-        trace=[[j, p] for j, p in enumerate(allocation.assignment)],
-        lines=lines,
-    )
+    values = [str(c) for c in allocation.counts]
+    trace = [[j, p] for j, p in enumerate(allocation.assignment)]
+    lines = [f"{j} -> {p}" for j, p in trace] + [f"player {i} {c}" for i, c in enumerate(values)]
+    return _Result(ol.n, values, str(sum(allocation.counts)), trace, lines)
 
 
-def _cmd_apportion(args, out) -> None:
-    profile = formats.parse_approval_profile(_read(args.ballots), source=args.ballots)
+def _cmd_apportion(args) -> _Result:
+    profile = _read(args.ballots, formats.parse_approval_profile)
     seats = apportion_isv(profile, args.seats)
-    values = [str(s) for s in seats]
-    _emit(out, args.format, "apportion", len(profile.parties), values, str(sum(seats)))
+    return _Result(len(profile.parties), [str(s) for s in seats], str(sum(seats)))
 
 
-def _cmd_dhondt(args, out) -> None:
+def _cmd_dhondt(args) -> _Result:
     alloc = dhondt(args.votes, args.seats)
-    values = [str(s) for s in alloc]
-    _emit(out, args.format, "dhondt", len(alloc), values, str(sum(alloc)))
+    return _Result(len(alloc), [str(s) for s in alloc], str(sum(alloc)))
 
 
-def _cmd_coalition(args, out) -> None:
-    names, rv, outsiders = formats.parse_regional(_read(args.regional), source=args.regional)
+def _cmd_coalition(args) -> _Result:
+    names, rv, outsiders = _read(args.regional, formats.parse_regional)
     game = coalition_game_from_regions(rv, range(len(names)), outsiders)
     payoffs = indivisible_shapley(game).payoffs
-    values = [str(p) for p in payoffs]
-    _emit(out, args.format, "coalition", len(names), values, str(sum(payoffs)))
+    return _Result(len(names), [str(p) for p in payoffs], str(sum(payoffs)))
 
 
 def _build_parser() -> _Parser:
@@ -215,44 +189,33 @@ def _build_parser() -> _Parser:
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("shapley", help="exact Shapley value of a game file")
-    p.add_argument("game")
-    p.set_defaults(fn=_cmd_shapley)
+    for name, fn, text in (
+        ("shapley", _cmd_shapley, "exact Shapley value of a game file"),
+        ("dividends", _cmd_dividends, "nonzero Harsanyi dividends of a game file"),
+        ("check", _cmd_check, "structural predicates of a game file"),
+        ("isv", _cmd_isv, "indivisible Shapley value of a game file"),
+        ("matrix", _cmd_matrix, "exact synergy matrix of a game file"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("game")
+        p.set_defaults(fn=fn)
+    sub.choices["check"].add_argument("--vector", help="payoff vector to test for core membership")
 
-    p = sub.add_parser("dividends", help="nonzero Harsanyi dividends of a game file")
-    p.add_argument("game")
-    p.set_defaults(fn=_cmd_dividends)
+    opts = _Parser(add_help=False)  # shared by the two oracle subcommands
+    opts.add_argument("--oracle", required=True, help="oracle command line")
+    opts.add_argument("--k", type=int, default=10_000, help="number of sampled permutations")
+    opts.add_argument("--seed", type=int, default=0)
+    opts.add_argument("--exhaustive", action="store_true", help="enumerate all permutations")
 
-    p = sub.add_parser("check", help="structural predicates of a game file")
-    p.add_argument("game")
-    p.add_argument("--vector", help="payoff vector to test for core membership")
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("isv", help="indivisible Shapley value of a game file")
-    p.add_argument("game")
-    p.set_defaults(fn=_cmd_isv)
-
-    p = sub.add_parser("matrix", help="exact synergy matrix of a game file")
-    p.add_argument("game")
-    p.set_defaults(fn=_cmd_matrix)
-
-    p = sub.add_parser("sample", help="sampled Shapley value of an oracle command")
+    p = sub.add_parser("sample", parents=[opts], help="sampled Shapley value of an oracle command")
     p.add_argument("n", type=int, help="player count")
-    p.add_argument("--oracle", required=True, help="oracle command line")
-    p.add_argument("--k", type=int, default=10_000, help="number of sampled permutations")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--matrix", action="store_true", help="estimate the synergy matrix")
-    p.add_argument("--exhaustive", action="store_true", help="enumerate all permutations")
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("large", help="grant units from a black-box game")
-    p.add_argument("--oracle", required=True, help="oracle command line")
+    p = sub.add_parser("large", parents=[opts], help="grant units from a black-box game")
     p.add_argument("--n", type=int, required=True, help="player count")
     p.add_argument("--total", type=int, required=True, help="units to grant")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--k", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(fn=_cmd_large)
 
     p = sub.add_parser("allocate", help="allocate objects per an owner-list file")
@@ -279,21 +242,28 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.fn(args, out)
+        args = _build_parser().parse_args(argv)
+        result = args.fn(args)
     except OracleFailure as exc:
         err.write(f"oracle error: {exc}\n")
         return 2
     except (_CliError, SolverError) as exc:
         err.write(f"error: {exc}\n")
         return 1
+    out.write(_format(result, args.command, args.format))
     return 0
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away; silence the interpreter's own final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

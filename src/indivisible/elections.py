@@ -50,9 +50,8 @@ class ApprovalProfile:
         object.__setattr__(self, "ballots", tuple(ballots))
 
 
-def _check_votes(votes: Sequence[int]) -> None:
-    if any(v < 0 for v in votes):
-        raise InvalidRange("vote totals must be nonnegative")
+def _check_votes(votes: Sequence[int]) -> tuple[int, ...]:
+    return tuple(_whole(v, "vote total", 0) for v in votes)
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class Region:
 
     def __post_init__(self):
         object.__setattr__(self, "seats", _whole(self.seats, "seat count", 1))
-        _check_votes(self.votes)
+        object.__setattr__(self, "votes", _check_votes(self.votes))
         if not any(self.votes):
             raise AllZeroVotes("at least one party needs a positive vote total")
 
@@ -140,11 +139,12 @@ def coalition_game_from_regions(
             f"{len(outsiders)} outsider lists for {len(rv.regions)} regions"
         )
     party_mask = coalition(parties)
+    checked = []
     for region, outs in zip(rv.regions, outsiders):
         _check_coalition(party_mask, len(region.votes), "member parties")
-        _check_votes(outs)
+        checked.append(_check_votes(outs))
     table = [0] * (1 << m)
-    for region, outs in zip(rv.regions, outsiders):
+    for region, outs in zip(rv.regions, checked):
         merged = coalition_sums([region.votes[p] for p in parties])
         for mask in range(1, 1 << m):
             lists = [merged[mask], *outs]

@@ -10,8 +10,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ParseError
-from .games import MAX_TABLE_PLAYERS, Game, _check_player_count, _game_from_listed, members
+from .errors import InvalidRange, ParseError
+from .games import (
+    MAX_TABLE_PLAYERS,
+    Game,
+    _as_fraction,
+    _check_player_count,
+    _game_from_listed,
+    members,
+)
 from .elections import ApprovalProfile, Region, RegionalVotes
 from .matching import OwnerList
 
@@ -32,13 +39,9 @@ def _content_lines(text: str):
 
 
 def _parse_fraction(token: str, source: str, lineno: int) -> Fraction:
-    exponent = token.upper().partition("E")[2]
     try:
-        # Fraction expands any exponent exactly; 4300 is Python's cap on int digit strings
-        if exponent and abs(int(exponent)) > 4300:
-            raise ValueError(exponent)
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
+        return _as_fraction(token)
+    except InvalidRange:
         raise ParseError(source, lineno, f"bad rational value {token!r}") from None
 
 

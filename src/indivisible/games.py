@@ -66,8 +66,14 @@ def members(mask: int) -> tuple[int, ...]:
 
 
 def _as_fraction(x) -> Fraction:
-    """``x`` as an exact rational: anything ``Fraction`` accepts, finite."""
+    """``x`` as an exact rational: anything ``Fraction`` accepts, finite, and
+    from a string only with an exponent of magnitude at most 4300."""
     try:
+        if isinstance(x, str):
+            exponent = x.upper().partition("E")[2]
+            # Fraction expands any exponent exactly; 4300 is Python's cap on int digit strings
+            if exponent and abs(int(exponent)) > 4300:
+                raise ValueError(exponent)
         return Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InvalidRange(f"not a finite rational: {x!r}") from None
@@ -249,13 +255,18 @@ def make_game(
 ) -> Game:
     """Build a game from (coalition mask, value) pairs; unlisted coalitions are 0."""
     _check_player_count(n, max_players)
+    return _game_from_listed(n, _read_entries(n, entries))
+
+
+def _read_entries(n: int, entries: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
+    """(mask, value) pairs as a dict, each mask a coalition of ``n`` players listed once."""
     listed: dict[int, Fraction] = {}
     for mask, value in entries:
         _check_coalition(mask, n, "coalition")
         if mask in listed:
             raise DuplicateCoalition(f"coalition {members(mask)} listed twice")
         listed[mask] = _as_fraction(value)
-    return _game_from_listed(n, listed)
+    return listed
 
 
 def _game_from_listed(n: int, listed: dict[int, Fraction]) -> Game:
@@ -419,8 +430,7 @@ def reduced_game(g: Game, i: int, c: Fraction) -> ReducedGame:
     whichever is larger.  Surviving players are densely reindexed;
     ``players[new]`` gives the original index.
     """
-    if i < 0 or i >= g.n:
-        raise PlayerOutOfRange(f"player {i} outside 0..{g.n - 1}")
+    _check_coalition(coalition([i]), g.n, "player")
     c = _as_fraction(c)
     if c < 0:
         raise NegativePayoff(f"reduction payoff must be >= 0, got {c}")

@@ -65,10 +65,26 @@ def normalize_attributions(
     return out, mat
 
 
-def _steps(phi: list[float], matrix: Sequence[Sequence[float]], total: int, alpha: float):
-    """Grant loop; yields (picked player, working estimates after the step)."""
+def isv_large(
+    phi: Sequence[float],
+    matrix: Sequence[Sequence[float]],
+    total: int,
+    alpha: float = DEFAULT_ALPHA,
+) -> list[int]:
+    """Grant ``total`` units by repeatedly picking the highest estimate.
+
+    Argmax ties break toward the lower player index.  Working estimates
+    are never clamped; they may go negative and keep competing, which
+    preserves the total-deficit bookkeeping.
+    """
     n = len(phi)
-    for _ in range(total):
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise LengthMismatch(f"matrix shape does not match {n} attributions")
+    if not 0.0 <= alpha <= 1.0:
+        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
+    phi = list(phi)
+    grants = [0] * n
+    for _ in range(_whole(total, "total", 0)):
         pick = max(range(n), key=lambda j: phi[j])
         if phi[pick] > 1.0:
             phi[pick] -= 1.0
@@ -87,28 +103,6 @@ def _steps(phi: list[float], matrix: Sequence[Sequence[float]], total: int, alph
                     weight = 1.0 / (n - 1)
                 phi[j] -= deficit * weight
             phi[pick] = 0.0
-        yield pick, tuple(phi)
-
-
-def isv_large(
-    phi: Sequence[float],
-    matrix: Sequence[Sequence[float]],
-    total: int,
-    alpha: float = DEFAULT_ALPHA,
-) -> list[int]:
-    """Grant ``total`` units by repeatedly picking the highest estimate.
-
-    Argmax ties break toward the lower player index.  Working estimates
-    are never clamped; they may go negative and keep competing, which
-    preserves the total-deficit bookkeeping.
-    """
-    n = len(phi)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise LengthMismatch(f"matrix shape does not match {n} attributions")
-    if not 0.0 <= alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
-    grants = [0] * n
-    for pick, _ in _steps(list(phi), matrix, _whole(total, "total", 0), alpha):
         grants[pick] += 1
     return grants
 

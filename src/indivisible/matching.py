@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
-    DuplicateCoalition,
     EmptySupportCoalition,
     InvalidRange,
     NegativeDividend,
@@ -33,8 +32,8 @@ from .games import (
     Game,
     IntVector,
     RationalVector,
-    _as_fraction,
     _check_coalition,
+    _read_entries,
     _whole,
     coalition,
     game_from_weights,
@@ -235,17 +234,12 @@ def isv_from_dividends(n: int, dividends: Iterable[tuple[int, Fraction]]) -> Int
     listed dividends and players.
     """
     n = _whole(n, "player count", 0)
+    listed = _read_entries(n, dividends)
+    if 0 in listed:
+        raise EmptySupportCoalition("dividends are defined for nonempty coalitions")
     base = [0] * n
     residual: list[int] = []
-    seen = set()
-    for mask, d in dividends:
-        if mask == 0:
-            raise EmptySupportCoalition("dividends are defined for nonempty coalitions")
-        _check_coalition(mask, n, "coalition")
-        if mask in seen:
-            raise DuplicateCoalition(f"coalition {members(mask)} listed twice")
-        seen.add(mask)
-        d = _as_fraction(d)
+    for mask, d in listed.items():
         if d < 0:
             raise NegativeDividend(f"dividend of {members(mask)} is {d}")
         if d == 0:

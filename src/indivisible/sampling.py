@@ -133,6 +133,7 @@ class SubprocessOracle(ValueOracle):
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
+                errors="replace",  # an undecodable reply then fails the decimal check
                 bufsize=1,
             )
         except OSError as exc:

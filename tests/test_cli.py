@@ -1,9 +1,14 @@
+import io
 import json
+import os
 import random
 import shlex
 import subprocess
 import sys
 
+import pytest
+
+from indivisible import cli
 from indivisible.formats import format_game, format_owner_list
 
 from oracles import floor_half_game, sized_owner_list, two_goods_game
@@ -39,12 +44,22 @@ for line in sys.stdin:
 """
 
 
+UNDECODABLE_SCRIPT = """\
+import sys
+for line in sys.stdin:
+    sys.stdout.buffer.write(b"\\xff\\n")
+    sys.stdout.flush()
+"""
+
+
 def run_cli(*args):
-    return subprocess.run(
+    res = subprocess.run(
         [sys.executable, "-m", "indivisible.cli", *args],
         capture_output=True,
         text=True,
     )
+    assert "Traceback" not in res.stderr
+    return res
 
 
 def write_game(tmp_path, game, name="game.txt"):
@@ -292,3 +307,114 @@ class TestExitCodes:
             assert res.returncode == 2
             assert res.stdout == ""
             assert "Traceback" not in res.stderr
+
+    def test_undecodable_file_is_one(self, tmp_path):
+        path = tmp_path / "game.txt"
+        path.write_bytes(b"players 2\n0 1\n\xff\n")
+        res = run_cli("shapley", str(path))
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: cannot read {path}")
+        assert res.stdout == ""
+
+    def test_undecodable_reply_is_two(self, tmp_path):
+        cmd = oracle_command(tmp_path, UNDECODABLE_SCRIPT)
+        res = run_cli("sample", "2", "--oracle", cmd, "--k", "4")
+        assert res.returncode == 2
+        assert res.stderr.startswith("oracle error: malformed oracle reply")
+        assert res.stdout == ""
+
+
+# Small valid inputs of the four file formats, and where each goes on the
+# command line; every mutant of every file runs through all eight commands.
+FILES = {
+    "game": "players 3\n# comment\n0 1\n0,1 5/2\n1,2 2\n0,1,2 4\n",
+    "owners": "players 3\n0\n0,1\n1,2\n2\n0,1,2\n",
+    "ballots": "parties 3 A B C\n3 0\n2 0,1\n1 1,2\n4 2\n",
+    "regional": "parties 2 A B\nregion 3 30 25 | 100\nregion 2 10 40 | 20 5\n",
+}
+FILE_COMMANDS = [
+    ["shapley", "{}"],
+    ["dividends", "{}"],
+    ["check", "{}", "--vector", "1,1,2"],
+    ["isv", "{}"],
+    ["matrix", "{}"],
+    ["allocate", "{}"],
+    ["apportion", "{}", "--seats", "4"],
+    ["coalition", "{}"],
+]
+
+# oracle replies that break the line protocol; each must end in exit 2
+BAD_REPLIES = {
+    "malformed": 'print("abc")',
+    "empty line": "print()",
+    "nan": 'print("nan")',
+    "infinite": 'print("1e999")',
+    "undecodable": 'sys.stdout.buffer.write(b"\\xff\\n")',
+    "exits after one reply": "print(0)\n    sys.stdout.flush()\n    break",
+}
+
+
+def in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(argv, out, err)  # nothing may escape main
+    assert code in (0, 1, 2)
+    # a result is written whole on success, and nothing but the error on failure
+    assert (out.getvalue() != "", err.getvalue() == "") == (code == 0, code == 0)
+    return code
+
+
+def mutate(rng, data: bytes) -> bytes:
+    """One replaced, inserted or deleted byte."""
+    pos = rng.randrange(len(data) + 1)
+    op = rng.choice(("replace", "insert", "delete")) if pos < len(data) else "insert"
+    byte = bytes([rng.randrange(256)])
+    if op == "replace":
+        return data[:pos] + byte + data[pos + 1 :]
+    if op == "insert":
+        return data[:pos] + byte + data[pos:]
+    return data[:pos] + data[pos + 1 :]
+
+
+class TestGuarantee:
+    """Every run exits 0, 1 or 2, and no exception escapes ``main``."""
+
+    @pytest.mark.parametrize("kind, seed", [(k, s) for k in FILES for s in (1, 2)])
+    def test_mutated_files(self, tmp_path, kind, seed):
+        rng = random.Random(f"{kind}-{seed}")
+        data = FILES[kind].encode()
+        path = tmp_path / kind
+        codes = set()
+        for _ in range(60):
+            path.write_bytes(mutate(rng, data))
+            for argv in FILE_COMMANDS:
+                codes.add(in_process([a.format(path) for a in argv]))
+        assert codes == {0, 1}
+
+    @pytest.mark.parametrize("reply", BAD_REPLIES.values(), ids=BAD_REPLIES.keys())
+    def test_bad_oracle_replies(self, tmp_path, reply):
+        script = f"import sys\nfor line in sys.stdin:\n    {reply}\n    sys.stdout.flush()\n"
+        cmd = oracle_command(tmp_path, script)
+        for argv in (
+            ["sample", "3", "--oracle", cmd, "--k", "5"],
+            ["sample", "3", "--oracle", cmd, "--k", "5", "--matrix"],
+            ["large", "--oracle", cmd, "--n", "3", "--total", "2", "--k", "5"],
+        ):
+            assert in_process(argv) == 2
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_closed_stdout_is_one(self, tmp_path, fmt):
+        path = write_game(tmp_path, two_goods_game())
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child writes: a short result fits the pipe buffer
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "indivisible.cli", "--format", fmt, "isv", path],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "Exception ignored" not in res.stderr

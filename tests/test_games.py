@@ -562,6 +562,13 @@ GUARANTEES = {
     ),
     "dhondt 2.5 seats": (lambda: dhondt([1, 2], 2.5), InvalidRange),
     "SubprocessOracle n=2.5": (lambda: _oracle_query("cat", 2.5), InvalidRange),
+    "make_game exponent 300000": (
+        lambda: make_game(2, [(1, "1e300000"), (3, "1e-300000")]),
+        InvalidRange,
+    ),
+    "reduced_game i=1.5": (lambda: reduced_game(G3, 1.5, 0), PlayerOutOfRange),
+    "dhondt vote 'a'": (lambda: dhondt(["a", 1], 1), InvalidRange),
+    "Region vote None": (lambda: Region(1, (None, 1)), InvalidRange),
 }
 
 

@@ -20,6 +20,7 @@ from indivisible import (
     shapley_from_owners,
 )
 from indivisible.errors import (
+    DuplicateCoalition,
     EmptySupportCoalition,
     NegativeDividend,
     NonIntegerResidue,
@@ -300,6 +301,14 @@ class TestIsvFromDividends:
     def test_fractional_residue_rejected(self):
         with pytest.raises(NonIntegerResidue):
             isv_from_dividends(2, [(0b11, F(7, 2))])
+
+    def test_empty_coalition_rejected(self):
+        with pytest.raises(EmptySupportCoalition):
+            isv_from_dividends(2, [(0b01, F(1)), (0, F(1))])
+
+    def test_duplicate_coalition_rejected(self):
+        with pytest.raises(DuplicateCoalition):
+            isv_from_dividends(2, [(0b11, F(2)), (0b01, F(1)), (0b11, F(2))])
 
     def test_whole_dividend_no_residue(self):
         assert isv_from_dividends(2, [(0b11, F(6))]) == (3, 3)
