@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 invalid input or a stdout closed by its reader
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -184,7 +185,9 @@ def _cmd_coalition(args) -> _Result:
     return _Result(len(names), [str(p) for p in payoffs], str(sum(payoffs)))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first call and reused after it."""
     parser = _Parser(prog="indivisible", description=__doc__)
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     sub = parser.add_subparsers(dest="command", required=True)

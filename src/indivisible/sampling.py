@@ -12,7 +12,15 @@ That fixes the float summation order, so the same inputs and seed give
 bit-identical estimates on every run.
 
 Both estimators run through one summing loop, ``_sums``; exhaustive mode
-is a single chunk over all ``n!`` permutations.  ``large.select_top_k``
+is a single chunk over all ``n!`` permutations.  Each estimator update
+comes in two halves: a query plan, the coalitions one permutation needs,
+and the sum itself.  ``_sums`` hands every permutation's plan to the
+memo, which drops hits and duplicates and asks the wrapped oracle for the
+rest in one ``evaluate_many`` call; the sum then reads each value straight
+from the memo, in the same order as before, so the plans change no
+estimate.  Once the memo holds all ``2**n`` coalitions, planning stops.
+A child-process oracle thus answers each permutation in a few pipe
+exchanges instead of one round trip per coalition.  ``large.select_top_k``
 takes the Shapley estimate and the synergy matrix from one pass, so it
 samples each permutation once.
 """
@@ -20,11 +28,14 @@ samples each permutation once.
 from __future__ import annotations
 
 import math
+import os
 import re
+import select
 import shlex
 import subprocess
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
+from operator import or_
 from typing import Callable, Sequence
 
 from .errors import (
@@ -42,6 +53,8 @@ _MEMO_SIZE = 1 << 20  # coalitions kept by MemoOracle
 _MASK64 = (1 << 64) - 1
 _EXHAUSTIVE_CAP = 9
 _DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+_REPLY_TIMEOUT = 60.0  # seconds a child oracle may stay silent while it owes replies
+_READ_SIZE = 1 << 16
 
 
 class ValueOracle:
@@ -55,6 +68,11 @@ class ValueOracle:
 
     def evaluate(self, mask: int) -> float:
         raise NotImplementedError
+
+    def evaluate_many(self, masks: Sequence[int]) -> list[float]:
+        """The values of ``masks``, in order; oracles that can answer a batch
+        faster than one coalition at a time override this."""
+        return [self.evaluate(mask) for mask in masks]
 
 
 class TableOracle(ValueOracle):
@@ -90,7 +108,7 @@ class MemoOracle(ValueOracle):
 
     def __init__(self, oracle: ValueOracle):
         self.n = oracle.n
-        self._inner = oracle.evaluate
+        self._oracle = oracle
         self._memo: dict[int, float] = {}
 
     def evaluate(self, mask: int) -> float:
@@ -98,8 +116,18 @@ class MemoOracle(ValueOracle):
         if value is None:
             if len(self._memo) >= _MEMO_SIZE:
                 self._memo.clear()
-            value = self._memo[mask] = self._inner(mask)
+            value = self._memo[mask] = self._oracle.evaluate(mask)
         return value
+
+    def _fill(self, masks: Sequence[int]) -> None:
+        """Cache every one of ``masks``, asking the wrapped oracle for those
+        not cached yet in one ``evaluate_many`` call, each mask once."""
+        memo = self._memo
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        missing = [mask for mask in dict.fromkeys(masks) if mask not in memo]
+        if missing:
+            memo.update(zip(missing, self._oracle.evaluate_many(missing)))
 
 
 def memoized(oracle: ValueOracle) -> ValueOracle:
@@ -114,13 +142,18 @@ class SubprocessOracle(ValueOracle):
     Line protocol over the child's standard input/output: one query line
     per coalition, a string of ``n`` characters over ``{0,1}`` where
     character ``p`` is 1 iff player ``p`` is a member; the child replies
-    with one line holding a decimal number.  Queries go one at a time:
-    each waits for its reply before the next is written.
+    with one line holding a decimal number.  ``evaluate_many`` writes its
+    queries in batches of at most ``select.PIPE_BUF`` bytes, one write per
+    batch, and reads every reply of a batch before it writes the next, so
+    neither process can block on a full pipe.  A child that owes replies
+    and sends nothing for ``_REPLY_TIMEOUT`` seconds is killed, and the
+    query raises ``ChildExited``.
     """
 
     def __init__(self, command: str | Sequence[str], n: int):
         self.n = _whole(n, "player count", 1)
         self._width = f"0{self.n}b"
+        self._batch = max(1, select.PIPE_BUF // (self.n + 1))  # query lines per write
         try:
             args = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:
@@ -129,53 +162,85 @@ class SubprocessOracle(ValueOracle):
             raise SpawnFailure("empty oracle command")
         try:
             self._proc = subprocess.Popen(
-                args,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                errors="replace",  # an undecodable reply then fails the decimal check
-                bufsize=1,
+                args, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
         except OSError as exc:
             raise SpawnFailure(f"cannot spawn oracle {args!r}: {exc}") from exc
+        os.set_blocking(self._proc.stdout.fileno(), False)  # reads wait in select
 
     def evaluate(self, mask: int) -> float:
-        _check_coalition(mask, self.n, "coalition")
-        query = format(mask, self._width)[::-1]  # character p is bit p
-        if self._proc.poll() is not None:
+        return self.evaluate_many([mask])[0]
+
+    def evaluate_many(self, masks: Sequence[int]) -> list[float]:
+        for mask in masks:
+            _check_coalition(mask, self.n, "coalition")
+        values: list[float] = []
+        for start in range(0, len(masks), self._batch):
+            self._exchange(masks[start : start + self._batch], values)
+        return values
+
+    def _exchange(self, masks: Sequence[int], values: list[float]) -> None:
+        """Write one batch of queries, then append the values of its replies."""
+        proc = self._proc
+        queries = [format(mask, self._width)[::-1] for mask in masks]  # character p is bit p
+        if proc.poll() is not None:
             raise ChildExited(
-                f"oracle exited with status {self._proc.returncode} before query {query}"
+                f"oracle exited with status {proc.returncode} before query {queries[0]}"
             )
+        data = ("\n".join(queries) + "\n").encode()
         try:
-            self._proc.stdin.write(query + "\n")  # line-buffered: the newline flushes
-        except (BrokenPipeError, OSError) as exc:
-            raise ChildExited(f"oracle pipe closed on query {query}: {exc}") from exc
-        reply = self._proc.stdout.readline()
-        if reply == "":
-            raise ChildExited(f"oracle closed its output on query {query}")
-        text = reply.strip()
-        if not _DECIMAL_RE.fullmatch(text):
-            raise ProtocolViolation(f"malformed oracle reply {text!r} to query {query}")
-        value = float(text)
-        if not math.isfinite(value):
-            raise ProtocolViolation(f"non-finite oracle reply {text!r} to query {query}")
-        if mask == 0 and value != 0.0:
-            raise ProtocolViolation(f"empty coalition must be worth 0, oracle said {text!r}")
-        return value
+            while data:  # one whole write, unless a single query exceeds PIPE_BUF
+                data = data[os.write(proc.stdin.fileno(), data) :]
+        except OSError as exc:  # a broken pipe included
+            raise ChildExited(f"oracle pipe closed on query {queries[0]}: {exc}") from exc
+        out = proc.stdout.fileno()
+        done = 0
+        pending = b""  # the start of a reply whose line has not ended yet
+        while done < len(queries):
+            try:
+                chunk = os.read(out, _READ_SIZE)
+            except BlockingIOError:  # nothing to read yet: wait, up to the deadline
+                if not select.select([out], [], [], _REPLY_TIMEOUT)[0]:
+                    proc.kill()
+                    raise ChildExited(
+                        f"oracle sent no reply for {_REPLY_TIMEOUT:g} s to query {queries[done]}"
+                    ) from None
+                continue
+            if not chunk:
+                raise ChildExited(f"oracle closed its output on query {queries[done]}")
+            *replies, pending = (pending + chunk).split(b"\n")
+            if len(replies) + (pending != b"") > len(queries) - done:  # bytes past the last reply
+                raise ProtocolViolation(
+                    f"oracle sent more replies than the {len(queries)} queries up to {queries[-1]}"
+                )
+            for reply in replies:
+                query = queries[done]
+                # an undecodable reply then fails the decimal check
+                text = reply.decode("utf-8", "replace").strip()
+                if not _DECIMAL_RE.fullmatch(text):
+                    raise ProtocolViolation(f"malformed oracle reply {text!r} to query {query}")
+                value = float(text)
+                if not math.isfinite(value):
+                    raise ProtocolViolation(f"non-finite oracle reply {text!r} to query {query}")
+                if masks[done] == 0 and value != 0.0:
+                    raise ProtocolViolation(
+                        f"empty coalition must be worth 0, oracle said {text!r}"
+                    )
+                values.append(value)
+                done += 1
 
     def close(self) -> None:
+        """End the session: close the child's input, reap the child (killed
+        if it has not exited 5 s later) and close its output."""
         proc = self._proc
-        if proc.stdin and not proc.stdin.closed:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
         try:
-            proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        if proc.stdout:
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        finally:
             proc.stdout.close()
 
     def __enter__(self) -> "SubprocessOracle":
@@ -203,21 +268,18 @@ def harmonic_tail(start: int, end: int) -> float:
     return total
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
-
-
 def _permutation(n: int, seed: int, t: int) -> tuple[int, ...]:
-    """Fisher-Yates permutation from the counter-based stream (seed, t)."""
+    """Fisher-Yates permutation from the counter-based stream (seed, t).
+
+    Each swap draws one splitmix64 output, computed in line.
+    """
     state = ((seed & _MASK64) * 0xA24BAED4963EE407 + t * 0x9FB21C651E98DF25 + 1) & _MASK64
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
-        state, word = _splitmix64(state)
-        j = word % (i + 1)
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        j = (z ^ (z >> 31)) % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return tuple(perm)
 
@@ -237,17 +299,23 @@ def _validate(cfg: SamplerConfig, n: int) -> None:
 
 
 def _sums(
-    oracle: ValueOracle, cfg: SamplerConfig, size: int, add: Callable
+    oracle: ValueOracle, cfg: SamplerConfig, size: int, plan: Callable, add: Callable
 ) -> tuple[list[float], int]:
     """Sum ``add(perm, ev, part)`` over the configured permutations.
 
-    Returns ``size`` flat totals and the permutation count.  Each chunk of
-    ``_CHUNK`` permutations is summed into its own partial, and partials
-    are merged in chunk order; exhaustive mode is a single chunk.
+    ``plan(perm)`` lists every coalition that ``add`` evaluates for
+    ``perm``.  The memo caches them all before ``add`` runs, so ``ev``
+    is a plain lookup in the memo's dict.  Returns ``size`` flat totals
+    and the permutation count.  Each chunk of ``_CHUNK`` permutations is
+    summed into its own partial, and partials are merged in chunk order;
+    exhaustive mode is a single chunk.
     """
     n = oracle.n
     _validate(cfg, n)
-    ev = memoized(oracle).evaluate
+    memo = memoized(oracle)
+    cached = memo._memo
+    ev = cached.__getitem__
+    everything = 1 << n
     if cfg.exhaustive:
         count = math.factorial(n)
         chunks = [permutations(range(n))]
@@ -261,11 +329,18 @@ def _sums(
     for chunk in chunks:
         part = [0.0] * size
         for perm in chunk:
+            if len(cached) < everything:
+                memo._fill(plan(perm))
             add(perm, ev, part)
         total = [a + b for a, b in zip(total, part)]
     if not all(map(math.isfinite, total)):
         raise OracleFailure("sampled sums overflow: oracle values are too large for floats")
     return total, count
+
+
+def _prefixes(perm: Sequence[int]) -> list[int]:
+    """The query plan of ``_marginals``: the ``n`` prefixes of ``perm``."""
+    return list(accumulate([1 << i for i in perm], or_))
 
 
 def _marginals(perm: Sequence[int], ev, out: list[float]) -> None:
@@ -284,7 +359,7 @@ def sample_shapley(oracle: ValueOracle, cfg: SamplerConfig = SamplerConfig()) ->
     In exhaustive mode every permutation is visited once, which turns the
     estimate into the exact value up to float summation error.
     """
-    total, count = _sums(oracle, cfg, oracle.n, _marginals)
+    total, count = _sums(oracle, cfg, oracle.n, _prefixes, _marginals)
     return [x / count for x in total]
 
 
@@ -300,6 +375,22 @@ def _shapley_and_matrix(
     tails = [harmonic_tail(s + 1, n) for s in range(n + 1)]
     phi_at = n * n
 
+    def plan(perm: Sequence[int]) -> list[int]:
+        """Each prefix ``S+i``, and ``S-j+i`` and ``S-j`` for each predecessor ``j > i``."""
+        masks = []
+        prefix = 0
+        for i in perm:
+            bit = 1 << i
+            masks.append(prefix | bit)
+            rest = prefix >> (i + 1) << (i + 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                masks.append((prefix ^ low) | bit)
+                masks.append(prefix ^ low)
+            prefix |= bit
+        return masks
+
     def add(perm: Sequence[int], ev, acc: list[float]) -> None:
         prefix = 0
         prev = 0.0
@@ -307,22 +398,20 @@ def _shapley_and_matrix(
             cur = ev(prefix | (1 << i))
             base = cur - prev
             acc[phi_at + i] += base
-            if prefix:
+            rest = prefix >> (i + 1) << (i + 1)  # the predecessors j > i
+            if rest:
                 h = tails[prefix.bit_count()]
-                row = i * n
-                rest = prefix
+                row = i * n - 1  # j's slot i*n + j is row + low.bit_length()
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    j = low.bit_length() - 1
-                    if j > i:
-                        without_j = prefix ^ low
-                        second = base - ev(without_j | (1 << i)) + ev(without_j)
-                        acc[row + j] += second * h
+                    without_j = prefix ^ low
+                    second = base - ev(without_j | (1 << i)) + ev(without_j)
+                    acc[row + low.bit_length()] += second * h
             prefix |= 1 << i
             prev = cur
 
-    total, count = _sums(oracle, cfg, phi_at + n, add)
+    total, count = _sums(oracle, cfg, phi_at + n, plan, add)
     # the lower triangle mirrors the upper one; the diagonal was never updated
     matrix = [[total[min(i, j) * n + max(i, j)] / count for j in range(n)] for i in range(n)]
     return [x / count for x in total[phi_at:]], matrix

@@ -105,6 +105,29 @@ def is_supermodular(g: Game) -> bool:
     return True
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(state: int) -> tuple[int, int]:
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
+
+
+def splitmix_permutation(n: int, seed: int, t: int) -> tuple[int, ...]:
+    """The sampler's permutation ``t`` for ``seed``: Fisher-Yates driven by a
+    counter-based splitmix64 stream, one step function call per swap."""
+    state = ((seed & _MASK64) * 0xA24BAED4963EE407 + t * 0x9FB21C651E98DF25 + 1) & _MASK64
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        state, word = _splitmix64(state)
+        j = word % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return tuple(perm)
+
+
 def random_game(rng: random.Random, n: int, denominator: int = 4) -> Game:
     """Arbitrary game with small rational values (may be wildly non-convex)."""
     entries = [

@@ -5,10 +5,11 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
-from indivisible import cli
+from indivisible import cli, sampling
 from indivisible.formats import format_game, format_owner_list
 
 from oracles import floor_half_game, sized_owner_list, two_goods_game
@@ -351,6 +352,7 @@ BAD_REPLIES = {
     "infinite": 'print("1e999")',
     "undecodable": 'sys.stdout.buffer.write(b"\\xff\\n")',
     "exits after one reply": "print(0)\n    sys.stdout.flush()\n    break",
+    "late reply": '__import__("time").sleep(60)\n    print(0)',
 }
 
 
@@ -391,7 +393,8 @@ class TestGuarantee:
         assert codes == {0, 1}
 
     @pytest.mark.parametrize("reply", BAD_REPLIES.values(), ids=BAD_REPLIES.keys())
-    def test_bad_oracle_replies(self, tmp_path, reply):
+    def test_bad_oracle_replies(self, tmp_path, monkeypatch, reply):
+        monkeypatch.setattr(sampling, "_REPLY_TIMEOUT", 1.0)  # the late reply comes after it
         script = f"import sys\nfor line in sys.stdin:\n    {reply}\n    sys.stdout.flush()\n"
         cmd = oracle_command(tmp_path, script)
         for argv in (
@@ -400,6 +403,27 @@ class TestGuarantee:
             ["large", "--oracle", cmd, "--n", "3", "--total", "2", "--k", "5"],
         ):
             assert in_process(argv) == 2
+
+    def test_silent_oracle_is_killed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sampling, "_REPLY_TIMEOUT", 1.0)
+        pid_file = tmp_path / "pid"
+        script = (
+            "import os, sys, time\n"
+            f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "sys.stdin.readline()\n"
+            "print(1, flush=True)\n"  # so the pid file is written before the deadline runs
+            "time.sleep(60)\n"
+        )
+        cmd = oracle_command(tmp_path, script)
+        for argv in (
+            ["sample", "3", "--oracle", cmd, "--k", "5"],
+            ["large", "--oracle", cmd, "--n", "3", "--total", "2", "--k", "5"],
+        ):
+            start = time.monotonic()
+            assert in_process(argv) == 2
+            assert time.monotonic() - start < 4.5  # the 1 s deadline, not close()'s 5 s grace
+            with pytest.raises(ProcessLookupError):  # killed and reaped, not a zombie
+                os.kill(int(pid_file.read_text()), 0)
 
     @pytest.mark.parametrize("fmt", ["human", "machine"])
     def test_closed_stdout_is_one(self, tmp_path, fmt):
@@ -418,3 +442,31 @@ class TestGuarantee:
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
         assert "Exception ignored" not in res.stderr
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_runs(self, tmp_path):
+        path = write_game(tmp_path, two_goods_game())
+        runs = [
+            ["shapley", path],
+            ["--format", "machine", "isv", path],
+            ["isv", path],
+            ["check", path, "--vector", "1,1,0,1,0"],
+            ["check", path],
+            ["isv"],
+            ["--format", "machine", "dhondt", "5", "3", "--seats", "4"],
+            ["dhondt", "5", "3", "--seats", "4"],
+        ]
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            return cli.main(argv, out, err), out.getvalue(), err.getvalue()
+
+        reused = [run(argv) for argv in runs]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in runs:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 1, 0, 0]

@@ -1,5 +1,7 @@
 import random
+import signal
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,10 +30,11 @@ from indivisible.errors import (
     SpawnFailure,
     TooManyPlayers,
 )
+from indivisible import sampling
 from indivisible.large import select_top_k
-from indivisible.sampling import _CHUNK, _shapley_and_matrix
+from indivisible.sampling import _CHUNK, _permutation, _shapley_and_matrix
 
-from oracles import random_game, two_goods_game
+from oracles import random_game, splitmix_permutation, two_goods_game
 
 F = Fraction
 
@@ -52,6 +55,40 @@ MASK_CHILD = [
     "-c",
     "import sys\nfor line in sys.stdin:\n    print(int(line.strip()[::-1], 2))\n",
 ]
+
+
+# v(S) = (lowest member + 1) + |S|, from string methods, so long queries stay cheap
+LOWEST_CHILD = [
+    sys.executable,
+    "-u",
+    "-c",
+    "import sys\nfor line in sys.stdin:\n    print(line.find('1') + 1 + line.count('1'))\n",
+]
+
+
+def lowest_oracle(n):
+    return FunctionOracle(n, lambda mask: (mask & -mask).bit_length() + mask.bit_count())
+
+
+def python_child(body):
+    """A child oracle running ``body``; ``sys`` and ``time`` are imported."""
+    return [sys.executable, "-u", "-c", "import sys, time\n" + body]
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that hangs, instead of hanging the run."""
+
+    def past_deadline(signum, frame):
+        raise TimeoutError("the test did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, past_deadline)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def additive_oracle(weights):
@@ -75,6 +112,14 @@ class TestHarmonicTail:
             harmonic_tail(0, 3)
         with pytest.raises(InvalidRange):
             harmonic_tail(5, 3)
+
+
+class TestPermutationStream:
+    @pytest.mark.parametrize("n", [1, 2, 7, 24, 100])
+    def test_matches_reference_stream(self, n):
+        for seed in (0, 1, 9, -5, 2**64 + 3, 12345678901234567890):
+            for t in (0, 1, 2, _CHUNK - 1, _CHUNK, 10**6, 2**63):
+                assert _permutation(n, seed, t) == splitmix_permutation(n, seed, t)
 
 
 class TestSampleShapley:
@@ -255,11 +300,63 @@ class TestMemoization:
         assert oracle.evaluate(0b101) == 2.0
         assert calls == [0b101]
 
+    def test_fill_asks_once_for_each_missing_mask(self):
+        batches = []
+
+        class Recording(FunctionOracle):
+            def evaluate_many(self, masks):
+                batches.append(list(masks))
+                return super().evaluate_many(masks)
+
+        oracle = memoized(Recording(3, lambda mask: float(mask.bit_count())))
+        assert oracle.evaluate(0b001) == 1.0
+        oracle._fill([0b011, 0b001, 0b011, 0b111])
+        oracle._fill([0b111, 0b001])
+        assert batches == [[0b011, 0b111]]
+        assert oracle._memo == {0b001: 1.0, 0b011: 2.0, 0b111: 3.0}
+
     def test_estimates_unchanged_by_memo(self):
         g = two_goods_game()
         direct = sample_shapley(TableOracle(g), SamplerConfig(samples=500, seed=11))
         wrapped = sample_shapley(memoized(TableOracle(g)), SamplerConfig(samples=500, seed=11))
         assert direct == wrapped
+
+
+def needed_coalitions(n, cfg, matrix):
+    """Every coalition an estimator needs: for each sampled permutation and
+    player ``i`` after prefix ``S``, ``S+i``, and with ``matrix`` also
+    ``S-j+i`` and ``S-j`` for each ``j > i`` in ``S``."""
+    needed = set()
+    for t in range(cfg.samples):
+        before = set()
+        for i in splitmix_permutation(n, cfg.seed, t):
+            needed.add(coalition(before | {i}))
+            if matrix:
+                for j in before:
+                    if j > i:
+                        needed.add(coalition(before - {j} | {i}))
+                        needed.add(coalition(before - {j}))
+            before.add(i)
+    return needed
+
+
+class TestQueryPlans:
+    @pytest.mark.parametrize("matrix", [False, True])
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_each_needed_coalition_asked_once(self, n, matrix):
+        table = TableOracle(random_game(random.Random(241 + n), n))
+        asked = []
+
+        def value(mask):
+            asked.append(mask)
+            return table.evaluate(mask)
+
+        cfg = SamplerConfig(samples=300, seed=2)
+        estimator = sample_shapley_matrix if matrix else sample_shapley
+        est = estimator(FunctionOracle(n, value), cfg)
+        assert len(asked) == len(set(asked))
+        assert set(asked) == needed_coalitions(n, cfg, matrix)
+        assert repr(est) == repr(estimator(table, cfg))
 
 
 class TestSubprocessOracle:
@@ -323,6 +420,72 @@ class TestSubprocessOracle:
     def test_player_count_validated(self, n):
         with pytest.raises(InvalidRange):
             SubprocessOracle(ADDITIVE_CHILD, n)
+
+    def test_batch_spans_several_writes(self, deadline):
+        masks = [random.Random(4).getrandbits(64) for _ in range(200)]
+        with SubprocessOracle(MASK_CHILD, 64) as oracle:
+            assert len(masks) > oracle._batch  # 63 queries of 65 bytes fill one write
+            assert oracle.evaluate_many(masks) == [float(mask) for mask in masks]
+
+    def test_bad_mask_is_rejected_before_any_query(self):
+        with SubprocessOracle(MASK_CHILD, 3) as oracle:
+            with pytest.raises(PlayerOutOfRange):
+                oracle.evaluate_many([0b011, 0b1000])
+            assert oracle.evaluate_many([0b101]) == [5.0]  # no reply left behind
+
+    @pytest.mark.parametrize(
+        "n, estimator", [(2000, sample_shapley), (64, sample_shapley_matrix)]
+    )
+    def test_plans_larger_than_pipe_buf(self, deadline, n, estimator):
+        cfg = SamplerConfig(samples=2, seed=5)
+        with SubprocessOracle(LOWEST_CHILD, n) as oracle:
+            est = estimator(oracle, cfg)
+        assert repr(est) == repr(estimator(lowest_oracle(n), cfg))
+
+    def test_long_replies_do_not_block(self, deadline):
+        # 256 replies of 5001 bytes each: far more than a pipe holds
+        child = python_child("for line in sys.stdin:\n    print(f\"{line.count('1'):>5000}\")\n")
+        with SubprocessOracle(child, 8) as oracle:
+            values = oracle.evaluate_many(list(range(256)))
+        assert values == [float(mask.bit_count()) for mask in range(256)]
+
+    def test_silent_child_is_killed(self, deadline, monkeypatch):
+        monkeypatch.setattr(sampling, "_REPLY_TIMEOUT", 0.5)
+        oracle = SubprocessOracle(python_child("for line in sys.stdin:\n    time.sleep(60)\n"), 2)
+        start = time.monotonic()
+        try:
+            with pytest.raises(ChildExited, match="no reply for 0.5 s to query 10"):
+                oracle.evaluate(0b01)
+            assert time.monotonic() - start < 5
+            assert oracle._proc.wait(timeout=2) == -signal.SIGKILL  # killed at the deadline
+        finally:
+            oracle.close()
+        assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
+
+    def test_fewer_replies_than_queries(self, deadline, monkeypatch):
+        monkeypatch.setattr(sampling, "_REPLY_TIMEOUT", 0.5)
+        child = python_child("sys.stdin.readline()\nprint(1)\nfor line in sys.stdin:\n    pass\n")
+        with SubprocessOracle(child, 2) as oracle:
+            with pytest.raises(ChildExited, match="no reply for 0.5 s to query 01"):
+                oracle.evaluate_many([0b01, 0b10, 0b11])
+            assert oracle._proc.wait(timeout=2) == -signal.SIGKILL
+
+    def test_child_exits_mid_batch(self, deadline):
+        child = python_child(
+            "for k, line in enumerate(sys.stdin):\n"
+            "    if k == 2:\n"
+            "        break\n"
+            "    print(line.count('1'))\n"
+        )
+        with SubprocessOracle(child, 2) as oracle:
+            with pytest.raises(ChildExited, match="closed its output on query 11"):
+                oracle.evaluate_many([0b01, 0b10, 0b11])
+
+    def test_more_replies_than_queries(self, deadline):
+        child = python_child("for line in sys.stdin:\n    sys.stdout.buffer.write(b'1\\n1\\n')\n")
+        with SubprocessOracle(child, 2) as oracle:
+            with pytest.raises(ProtocolViolation, match="more replies"):
+                oracle.evaluate(0b01)
 
 
 class TestOverflowingSums:
