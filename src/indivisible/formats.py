@@ -16,7 +16,7 @@ from .games import (
     Game,
     _as_fraction,
     _check_player_count,
-    _game_from_listed,
+    _game_from_slots,
     members,
 )
 from .elections import ApprovalProfile, Region, RegionalVotes
@@ -31,11 +31,13 @@ def format_value(value: Fraction) -> str:
 
 
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """(line number, stripped line) for each line that is neither blank nor a
+    comment.  Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and line[0] != "#":
+            yield lineno, line
 
 
 def _parse_fraction(token: str, source: str, lineno: int) -> Fraction:
@@ -45,10 +47,44 @@ def _parse_fraction(token: str, source: str, lineno: int) -> Fraction:
         raise ParseError(source, lineno, f"bad rational value {token!r}") from None
 
 
-def _parse_indices(token: str, n: int, source: str, lineno: int) -> int:
+def _parse_ratio(token: str, source: str, lineno: int) -> tuple[int, int]:
+    """The rational ``token`` as (numerator, positive denominator), not
+    necessarily in lowest terms.  ASCII ``[+-]digits[/digits]`` is split
+    here; every other token goes to ``Fraction``, which words the error."""
+    top, slash, bottom = token.partition("/")
+    if token.isascii() and "_" not in token and (not slash or bottom.isdigit()):
+        try:
+            num, den = int(top), int(bottom) if slash else 1
+        except ValueError:  # not [+-]digits, or beyond Python's cap on int digit strings
+            den = 0
+        if den:
+            return num, den
+    return _parse_fraction(token, source, lineno).as_integer_ratio()
+
+
+def _parse_indices(token: str, n: int, source: str, lineno: int, known: dict[str, int]) -> int:
+    """The coalition named by ``token``, a comma-separated list of strictly
+    ascending player indices in ``0 .. n - 1``.
+
+    ``known`` maps each index string already read from the same file to its
+    index; pass one dict for all of a file's lines.  A list of known strings
+    costs one lookup per index; any other is read by ``int``, which also
+    finds the error to report.
+    """
+    parts = token.split(",")
     mask = 0
     prev = -1
-    for part in token.split(","):
+    for part in parts:
+        idx = known.get(part, -1)
+        if idx <= prev:  # an unknown string, or not above every earlier index
+            break
+        prev = idx
+        mask |= 1 << idx
+    else:
+        return mask
+    mask = 0
+    prev = -1
+    for part in parts:
         try:
             idx = int(part)
         except ValueError:
@@ -60,6 +96,7 @@ def _parse_indices(token: str, n: int, source: str, lineno: int) -> int:
         if idx < 0 or idx >= n:
             raise ParseError(source, lineno, f"player index {idx} outside 0..{n - 1}")
         prev = idx
+        known[part] = idx
         mask |= 1 << idx
     return mask
 
@@ -94,16 +131,19 @@ def parse_game(text: str, source: str = "<game>") -> Game:
     ``<i1>,...,<ik> <value>`` line per nonzero coalition."""
     lines, _, n, _ = _read_header(text, "players", "game", source)
     _check_player_count(n, MAX_TABLE_PLAYERS)
-    listed: dict[int, Fraction] = {}
+    nums = [0] * (1 << n)
+    dens = [0] * (1 << n)  # 0 marks a coalition not listed yet
+    known: dict[str, int] = {}
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(source, lineno, f"expected '<players> <value>', got {line!r}")
-        mask = _parse_indices(parts[0], n, source, lineno)
-        if mask in listed:
-            raise ParseError(source, lineno, f"coalition {parts[0]} listed twice")
-        listed[mask] = _parse_fraction(parts[1], source, lineno)
-    return _game_from_listed(n, listed)
+        players, token = parts
+        mask = _parse_indices(players, n, source, lineno, known)
+        if dens[mask]:
+            raise ParseError(source, lineno, f"coalition {players} listed twice")
+        nums[mask], dens[mask] = _parse_ratio(token, source, lineno)
+    return _game_from_slots(n, nums, dens)
 
 
 def format_game(g: Game) -> str:
@@ -120,10 +160,11 @@ def parse_owner_list(text: str, source: str = "<owners>") -> OwnerList:
     comma-separated owner coalition per object."""
     lines, _, n, _ = _read_header(text, "players", "owner", source)
     owners = []
+    known: dict[str, int] = {}
     for lineno, line in lines:
         if len(line.split()) != 1:
             raise ParseError(source, lineno, f"expected one owner coalition, got {line!r}")
-        owners.append(_parse_indices(line, n, source, lineno))
+        owners.append(_parse_indices(line, n, source, lineno, known))
     return OwnerList(n, tuple(owners))
 
 
@@ -139,6 +180,7 @@ def parse_approval_profile(text: str, source: str = "<ballots>") -> ApprovalProf
     ``<count> <i1>,<i2>,...`` line per distinct approval set."""
     lines, _, m, names = _read_header(text, "parties", "ballot", source)
     ballots = []
+    known: dict[str, int] = {}
     for lineno, line in lines:
         fields = line.split()
         if len(fields) != 2:
@@ -149,7 +191,7 @@ def parse_approval_profile(text: str, source: str = "<ballots>") -> ApprovalProf
             raise ParseError(source, lineno, f"bad ballot count {fields[0]!r}") from None
         if mult < 1:
             raise ParseError(source, lineno, f"ballot count must be >= 1, got {mult}")
-        ballots.append((_parse_indices(fields[1], m, source, lineno), mult))
+        ballots.append((_parse_indices(fields[1], m, source, lineno, known), mult))
     return ApprovalProfile(tuple(names), tuple(ballots))
 
 

@@ -255,7 +255,11 @@ def make_game(
 ) -> Game:
     """Build a game from (coalition mask, value) pairs; unlisted coalitions are 0."""
     _check_player_count(n, max_players)
-    return _game_from_listed(n, _read_entries(n, entries))
+    nums = [0] * (1 << n)
+    dens = [0] * (1 << n)
+    for mask, value in _read_entries(n, entries).items():
+        nums[mask], dens[mask] = value.as_integer_ratio()
+    return _game_from_slots(n, nums, dens)
 
 
 def _read_entries(n: int, entries: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
@@ -269,13 +273,18 @@ def _read_entries(n: int, entries: Iterable[tuple[int, Fraction]]) -> dict[int, 
     return listed
 
 
-def _game_from_listed(n: int, listed: dict[int, Fraction]) -> Game:
-    """The game worth ``listed[mask]`` on each listed mask (all below ``2**n``), 0 elsewhere."""
-    den = math.lcm(*{value.denominator for value in listed.values()})
-    table = [0] * (1 << n)
-    for mask, value in listed.items():
-        table[mask] = value.numerator * (den // value.denominator)
-    return Game(n, RationalTable(table, den))
+def _game_from_slots(n: int, nums: list[int], dens: list[int]) -> Game:
+    """The game worth ``nums[mask] / dens[mask]`` on each of the ``2**n`` masks,
+    where a positive ``dens[mask]`` need not be in lowest terms and a zero
+    one means the coalition is worth 0."""
+    scales = set(dens)
+    scales.discard(0)
+    den = math.lcm(*scales)
+    if den != 1:
+        factor = {d: den // d for d in scales}
+        factor[0] = 0  # unlisted slots stay 0
+        nums = list(map(mul, nums, map(factor.__getitem__, dens)))
+    return Game(n, RationalTable(nums, den))  # RationalTable reduces by the common gcd
 
 
 def game_from_weights(

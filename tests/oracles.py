@@ -13,6 +13,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from indivisible import Game, OwnerList, coalition, make_game, members
+from indivisible.errors import ParseError
+from indivisible.formats import _parse_fraction, _read_header
+from indivisible.games import MAX_TABLE_PLAYERS, RationalTable, _check_player_count
 
 
 def dividends_recursive(g: Game) -> list[Fraction]:
@@ -126,6 +129,47 @@ def splitmix_permutation(n: int, seed: int, t: int) -> tuple[int, ...]:
         j = word % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return tuple(perm)
+
+
+def _reference_indices(token: str, n: int, source: str, lineno: int) -> int:
+    mask = 0
+    prev = -1
+    for part in token.split(","):
+        try:
+            idx = int(part)
+        except ValueError:
+            raise ParseError(source, lineno, f"bad player index {part!r}") from None
+        if idx <= prev:
+            raise ParseError(
+                source, lineno, f"player indices must be strictly ascending, got {token!r}"
+            )
+        if idx < 0 or idx >= n:
+            raise ParseError(source, lineno, f"player index {idx} outside 0..{n - 1}")
+        prev = idx
+        mask |= 1 << idx
+    return mask
+
+
+def reference_parse_game(text: str, source: str = "<game>") -> Game:
+    """The game format read line by line: every index through ``int`` and
+    every value through ``Fraction``, duplicates found in a dict, and the
+    table put over the lcm of the values' denominators."""
+    lines, _, n, _ = _read_header(text, "players", "game", source)
+    _check_player_count(n, MAX_TABLE_PLAYERS)
+    listed: dict[int, Fraction] = {}
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(source, lineno, f"expected '<players> <value>', got {line!r}")
+        mask = _reference_indices(parts[0], n, source, lineno)
+        if mask in listed:
+            raise ParseError(source, lineno, f"coalition {parts[0]} listed twice")
+        listed[mask] = _parse_fraction(parts[1], source, lineno)
+    den = math.lcm(*{value.denominator for value in listed.values()})
+    table = [0] * (1 << n)
+    for mask, value in listed.items():
+        table[mask] = value.numerator * (den // value.denominator)
+    return Game(n, RationalTable(table, den))
 
 
 def random_game(rng: random.Random, n: int, denominator: int = 4) -> Game:

@@ -371,3 +371,83 @@ def test_criterion_9_cli_determinism(tmp_path):
     ok = ok and first.stdout == second.stdout
     ok = ok and first.returncode == 0 and second.returncode == 0
     report(9, "byte-identical CLI reruns", ok, time.monotonic() - start)
+
+
+def test_criterion_10_cli_at_the_table_cap(tmp_path):
+    """CLI ``isv``, ``check`` and ``matrix`` on a dense 20-player table, in-process."""
+    import io
+    import json
+
+    from indivisible.cli import main
+    from indivisible.games import game_from_weights
+
+    rng = random.Random(10_010)
+    n = 20
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    synergies = {}
+    while len(synergies) < 30:
+        i, j = sorted(rng.sample(range(n), 2))
+        synergies[i, j] = rng.randint(1, 4)
+    dividends = [(1 << i, w) for i, w in enumerate(weights)]
+    dividends += [((1 << i) | (1 << j), s) for (i, j), s in synergies.items()]
+    values = game_from_weights(n, dividends).values.nums
+    names = [""] * (1 << n)
+    for mask in range(1, 1 << n):
+        rest = mask & (mask - 1)
+        low = str((mask ^ rest).bit_length() - 1)
+        names[mask] = low + "," + names[rest] if rest else low
+    path = tmp_path / "dense20.game"
+    path.write_text(
+        f"players {n}\n" + "".join(f"{names[m]} {values[m]}\n" for m in range(1, 1 << n))
+    )
+    del names
+    # closed forms: a pair's synergy is split in halves, and in quarters in the matrix
+    phi = [F(w) for w in weights]
+    mat = [[F(0)] * n for _ in range(n)]
+    for i, w in enumerate(weights):
+        mat[i][i] = F(w)
+    for (i, j), s in synergies.items():
+        phi[i] += F(s, 2)
+        phi[j] += F(s, 2)
+        for a in (i, j):
+            for b in (i, j):
+                mat[a][b] += F(s, 4)
+    grand = values[-1]
+
+    def run(*args):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
+        code = main(["--format", "machine", *args, str(path)], out=out, err=err)
+        elapsed = time.monotonic() - start
+        assert code == 0, err.getvalue()
+        return json.loads(out.getvalue()), elapsed
+
+    budget = 30
+    ok = True
+    times = []
+    doc, elapsed = run("isv")
+    times.append(elapsed)
+    payoffs = [int(p) for p in doc["values"]]
+    ok = ok and sum(payoffs) == grand
+    ok = ok and all(math.floor(s) <= p <= math.ceil(s) for p, s in zip(payoffs, phi))
+    doc, elapsed = run("check", "--vector", ",".join(str(s) for s in phi))
+    times.append(elapsed)
+    ok = ok and doc["values"] == {
+        "convex": True,
+        "positive": True,
+        "size-bounded": False,
+        "core": True,
+    }
+    doc, elapsed = run("matrix")
+    times.append(elapsed)
+    ok = ok and [[F(v) for v in row] for row in doc["values"]] == mat
+    ok = ok and F(doc["total"]) == grand
+    report(
+        10,
+        "isv, check and matrix on a dense 20-player table ("
+        + ", ".join(f"{t:.1f}s" for t in times)
+        + ")",
+        ok,
+        max(times),
+        budget,
+    )

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from indivisible import ApprovalProfile, Region, RegionalVotes
-from indivisible.errors import ParseError, TooManyPlayers
+from indivisible.errors import ParseError, SolverError, TooManyPlayers
 from indivisible.formats import (
     format_approval_profile,
     format_game,
@@ -18,7 +18,13 @@ from indivisible.formats import (
     parse_vector,
 )
 
-from oracles import floor_half_game, random_game, random_owner_list, two_goods_game
+from oracles import (
+    floor_half_game,
+    random_game,
+    random_owner_list,
+    reference_parse_game,
+    two_goods_game,
+)
 
 F = Fraction
 
@@ -164,20 +170,31 @@ class TestValueSyntax:
     """Game values accept exactly what ``Fraction(token)`` accepts."""
 
     @pytest.mark.parametrize(
-        "token", ["3", "+3", "-3/4", "1_0", "\u0663", "3.5", "1e2", "-0", "1e4300"]
+        "token",
+        [
+            "3", "+3", "-3/4", "1_0", "\u0663", "3.5", "1e2", "-0", "1e4300",
+            "007", "00/4", "+3/4", "-0/5", "2/4",
+            pytest.param("9" * 4300, id="4300-digit integer"),
+        ],
     )
     def test_accepted_as_fraction(self, token):
         g = parse_game(f"players 1\n0 {token}\n")
         assert g.values[1] == Fraction(token)
 
     @pytest.mark.parametrize(
-        "token", ["nan", "inf", "1/0", "3/-4", "0x1", "3/", "/4", "1e300000", "1e-300000"]
+        "token",
+        [
+            "nan", "inf", "1/0", "3/-4", "0x1", "3/", "/4", "1e300000", "1e-300000",
+            # Python caps int digit strings at 4300 digits, and Fraction with it
+            pytest.param("1" * 4301, id="4301-digit integer"),
+            pytest.param("1/" + "1" * 4301, id="4301-digit denominator"),
+        ],
     )
     def test_rejected_with_line(self, token):
         with pytest.raises(ParseError) as exc:
             parse_game(f"players 2\n# values\n0,1 {token}\n", source="v.game")
         assert exc.value.line == 3
-        assert str(exc.value).startswith("v.game:3: ")
+        assert str(exc.value) == f"v.game:3: bad rational value {token!r}"
 
 
 HEADER_PARSERS = [
@@ -186,6 +203,152 @@ HEADER_PARSERS = [
     (parse_approval_profile, "parties 2 A B", "1 0,1"),
     (parse_regional, "parties 2 A B", "region 1 5 5"),
 ]
+
+
+def _odd_index(rng: random.Random, i: int) -> str:
+    """Player index ``i`` as any string ``int`` reads as ``i``."""
+    return rng.choice([str(i), str(i), f"0{i}", f"+{i}", chr(0x660 + i)])
+
+
+def _odd_value(rng: random.Random) -> str:
+    """A value token in one of the spellings ``Fraction`` accepts."""
+    k = rng.randint(-40, 40)
+    den = rng.randint(1, 12)
+    return rng.choice(
+        [
+            str(k),
+            f"{k}/{den}",
+            f"{2 * k}/{2 * den}",  # not in lowest terms
+            f"+{abs(k)}/{den}",
+            "-0",
+            "-0/5",
+            f"00{abs(k)}",
+            f"00/{den}",
+            f"{k}.{rng.randint(0, 99)}",
+            f"{k}e{rng.randint(-3, 3)}",
+            f"{abs(k)}_0",
+            "\u0663",
+            f"\u0663/{den}",
+        ]
+    )
+
+
+def _odd_game_text(rng: random.Random, n: int) -> str:
+    """A game file listing a random set of coalitions in random order,
+    with comments, blank lines and odd but valid indices and values."""
+    masks = rng.sample(range(1, 1 << n), rng.randint(0, (1 << n) - 1))
+    lines = ["# an odd game", f"players {n}"]
+    for mask in masks:
+        indices = ",".join(_odd_index(rng, i) for i in range(n) if mask >> i & 1)
+        lines.append(f"{indices} {_odd_value(rng)}")
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "  # note", "\t"]))
+    return rng.choice(["\n", "\r\n"]).join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    """The game ``parse`` reads from ``text``, or its error's type, line and message."""
+    try:
+        return parse(text, source="m.game")
+    except SolverError as exc:
+        return type(exc).__name__, getattr(exc, "line", None), str(exc)
+
+
+class TestReferenceParser:
+    """``parse_game`` reads every file as the line-by-line ``Fraction``
+    reference does: an equal game, or the same error on the same line."""
+
+    def test_odd_spellings_agree(self):
+        rng = random.Random(1021)
+        for _ in range(200):
+            text = _odd_game_text(rng, rng.randint(1, 5))
+            expected = reference_parse_game(text)
+            assert parse_game(text) == expected
+            assert parse_game(format_game(expected)) == expected
+
+    def test_single_character_edits_agree(self):
+        rng = random.Random(1022)
+        alphabet = [chr(c) for c in range(256)] + ["\u0663", "\u2028", "/", ",", "_", "-", "0"]
+        errors = 0
+        for _ in range(2000):
+            text = _odd_game_text(rng, rng.randint(1, 4))
+            at = rng.randrange(len(text))
+            edit = rng.choice(["replace", "insert", "delete"])
+            tail = text[at:] if edit == "insert" else text[at + 1 :]
+            mutated = text[:at] + ("" if edit == "delete" else rng.choice(alphabet)) + tail
+            expected = _outcome(reference_parse_game, mutated)
+            assert _outcome(parse_game, mutated) == expected, repr(mutated)
+            errors += isinstance(expected, tuple)
+        assert 200 < errors < 1800  # the edits reach both outcomes
+
+
+class TestIndexLists:
+    """Index lists whose strings earlier lines already read are checked as
+    strictly as new ones, in every format that holds them."""
+
+    FORMATS = [
+        (parse_game, "players 3", "{} 1", lambda g: tuple(m for m in range(8) if g.values[m])),
+        (parse_owner_list, "players 3", "{}", lambda ol: ol.owners),
+        (
+            parse_approval_profile,
+            "parties 3 A B C",
+            "1 {}",
+            lambda p: tuple(m for m, _ in p.ballots),
+        ),
+    ]
+
+    @pytest.mark.parametrize("parse, header, line, masks", FORMATS)
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("2,1", "player indices must be strictly ascending, got '2,1'"),
+            ("1,1", "player indices must be strictly ascending, got '1,1'"),
+            ("0,2,1", "player indices must be strictly ascending, got '0,2,1'"),
+            ("1,3", "player index 3 outside 0..2"),
+            ("1,x", "bad player index 'x'"),
+        ],
+    )
+    def test_bad_list_of_known_indices(self, parse, header, line, masks, token, message):
+        text = "\n".join([header, line.format("0,1,2"), line.format(token), ""])
+        with pytest.raises(ParseError) as exc:
+            parse(text, source="i")
+        assert str(exc.value) == f"i:3: {message}"
+
+    @pytest.mark.parametrize("parse, header, line, masks", FORMATS)
+    def test_known_and_new_spellings(self, parse, header, line, masks):
+        text = "\n".join([header, line.format("0,2"), line.format("+0,1,02"), ""])
+        assert masks(parse(text)) == (0b101, 0b111)
+
+
+class TestLineEnds:
+    """Lines end only at \\n, \\r\\n and \\r, so error lines match an editor's."""
+
+    @pytest.mark.parametrize("parse, header, body", HEADER_PARSERS)
+    @pytest.mark.parametrize(
+        "char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_other_breaks_stay_inside_the_line(self, parse, header, body, char):
+        bad = f"0{char}1 1 1"
+        text = f"{header}\n# a{char}b\n{body}\n{bad}\n"
+        with pytest.raises(ParseError) as exc:
+            parse(text, source="e")
+        assert exc.value.line == 4
+        assert str(exc.value).startswith("e:4: ")
+        assert str(exc.value).endswith(f"got {bad!r}")
+
+    @pytest.mark.parametrize("parse, header, body", HEADER_PARSERS)
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_endings(self, parse, header, body, end):
+        text = end.join([header, "# a", body, "0 1 1 1", ""])
+        with pytest.raises(ParseError) as exc:
+            parse(text, source="e")
+        assert exc.value.line == 4
+        assert str(exc.value).endswith("got '0 1 1 1'")
+
+    def test_value_error_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_game("players 2\n0 1\x1c\n1 x\n", "f")
+        assert str(exc.value) == "f:3: bad rational value 'x'"
 
 
 class TestHeader:
