@@ -67,36 +67,27 @@ def _parse_indices(token: str, n: int, source: str, lineno: int, known: dict[str
     ascending player indices in ``0 .. n - 1``.
 
     ``known`` maps each index string already read from the same file to its
-    index; pass one dict for all of a file's lines.  A list of known strings
-    costs one lookup per index; any other is read by ``int``, which also
-    finds the error to report.
+    index; pass one dict for all of a file's lines.  A known string costs one
+    lookup; any other is read by ``int`` and checked, and is added to
+    ``known`` only once it passed.
     """
-    parts = token.split(",")
     mask = 0
     prev = -1
-    for part in parts:
+    for part in token.split(","):
         idx = known.get(part, -1)
-        if idx <= prev:  # an unknown string, or not above every earlier index
-            break
+        if idx <= prev:  # a string not read yet, or not above every earlier index
+            try:
+                idx = int(part)
+            except ValueError:
+                raise ParseError(source, lineno, f"bad player index {part!r}") from None
+            if idx <= prev:  # a negative index included, as prev >= -1
+                raise ParseError(
+                    source, lineno, f"player indices must be strictly ascending, got {token!r}"
+                )
+            if idx >= n:
+                raise ParseError(source, lineno, f"player index {idx} outside 0..{n - 1}")
+            known[part] = idx
         prev = idx
-        mask |= 1 << idx
-    else:
-        return mask
-    mask = 0
-    prev = -1
-    for part in parts:
-        try:
-            idx = int(part)
-        except ValueError:
-            raise ParseError(source, lineno, f"bad player index {part!r}") from None
-        if idx <= prev:
-            raise ParseError(
-                source, lineno, f"player indices must be strictly ascending, got {token!r}"
-            )
-        if idx < 0 or idx >= n:
-            raise ParseError(source, lineno, f"player index {idx} outside 0..{n - 1}")
-        prev = idx
-        known[part] = idx
         mask |= 1 << idx
     return mask
 

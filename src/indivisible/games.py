@@ -49,14 +49,17 @@ def coalition(players: Iterable[int]) -> int:
     for p in players:
         if not isinstance(p, int) or p < 0:
             raise PlayerOutOfRange(f"player index must be an int >= 0, got {p!r}")
-        mask |= 1 << p
+        try:
+            mask |= 1 << p
+        except OverflowError:  # an index beyond what a shift can take
+            raise PlayerOutOfRange(f"player index {p} is too large") from None
     return mask
 
 
 def members(mask: int) -> tuple[int, ...]:
     """Players in the coalition, ascending."""
-    if mask < 0:
-        raise PlayerOutOfRange(f"coalition mask must be >= 0, got {mask}")
+    if not isinstance(mask, int) or mask < 0:
+        raise PlayerOutOfRange(f"coalition mask must be an int >= 0, got {mask!r}")
     out = []
     while mask:
         low = mask & -mask
@@ -170,10 +173,10 @@ class Game:
         object.__setattr__(self, "n", _whole(self.n, "player count", 0))
         values = RationalTable.of(self.values)
         object.__setattr__(self, "values", values)
-        if len(values) != 1 << self.n:
-            raise LengthMismatch(
-                f"value table has {len(values)} entries, expected {1 << self.n}"
-            )
+        size = len(values)
+        # past the table's bit length 1 << n exceeds its size anyway, and a huge n would not fit
+        if size != 1 << min(self.n, size.bit_length()):
+            raise LengthMismatch(f"value table has {size} entries, expected 2**{self.n}")
         if values.nums[0] != 0:
             raise NonzeroEmptySet("the empty coalition must have value 0")
 

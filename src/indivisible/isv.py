@@ -61,6 +61,7 @@ class IsvResult:
 
 def remainder_order(sv: Sequence[Fraction]) -> tuple[int, ...]:
     """Players sorted by Shapley remainder, largest first, index breaking ties."""
+    sv = [_as_fraction(s) for s in sv]
     return tuple(sorted(range(len(sv)), key=lambda i: (-(sv[i] - math.floor(sv[i])), i)))
 
 

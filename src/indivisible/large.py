@@ -25,6 +25,30 @@ from .sampling import SamplerConfig, ValueOracle, _shapley_and_matrix
 DEFAULT_ALPHA = 0.5
 
 
+def _finite(values) -> bool:
+    """Whether every one of ``values`` is a finite real number."""
+    try:  # TypeError: not a number; OverflowError: an int beyond float range
+        return all(map(math.isfinite, values))
+    except (TypeError, OverflowError):
+        return False
+
+
+def _check_attributions(phi: Sequence[float], matrix: Sequence[Sequence[float]]) -> int:
+    """The player count ``len(phi)``, if ``matrix`` is square of that size and
+    every entry of both is a finite real."""
+    n = len(phi)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise LengthMismatch(f"matrix shape does not match {n} attributions")
+    if not _finite(chain(phi, *matrix)):
+        raise InvalidRange("attributions must be finite numbers")
+    return n
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (_finite([alpha]) and 0.0 <= alpha <= 1.0):
+        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha!r}")
+
+
 def normalize_attributions(
     phi: Sequence[float],
     matrix: Sequence[Sequence[float]],
@@ -38,17 +62,9 @@ def normalize_attributions(
     subtraction on the largest entry absorbs the float residue so the
     returned values sum to the target exactly.
     """
-    n = len(phi)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise LengthMismatch(f"matrix shape does not match {n} attributions")
-    try:  # TypeError: not a number; OverflowError: an int beyond float range
-        finite = all(map(math.isfinite, [target_total, *phi, *chain(*matrix)]))
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise InvalidRange("attributions and the target total must be finite numbers")
-    if target_total <= 0:
-        raise InvalidRange(f"target total must be positive, got {target_total}")
+    n = _check_attributions(phi, matrix)
+    if not (_finite([target_total]) and target_total > 0):
+        raise InvalidRange(f"target total must be a positive finite number, got {target_total!r}")
     shift = max(0.0, -min(phi)) if n else 0.0
     shifted = [p + shift for p in phi]
     mat = [list(row) for row in matrix]
@@ -77,14 +93,14 @@ def isv_large(
     are never clamped; they may go negative and keep competing, which
     preserves the total-deficit bookkeeping.
     """
-    n = len(phi)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise LengthMismatch(f"matrix shape does not match {n} attributions")
-    if not 0.0 <= alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
+    n = _check_attributions(phi, matrix)
+    _check_alpha(alpha)
+    total = _whole(total, "total", 0)
+    if total and not n:
+        raise InvalidRange(f"no players to grant {total} units to")
     phi = list(phi)
     grants = [0] * n
-    for _ in range(_whole(total, "total", 0)):
+    for _ in range(total):
         pick = max(range(n), key=lambda j: phi[j])
         if phi[pick] > 1.0:
             phi[pick] -= 1.0
@@ -123,6 +139,7 @@ def select_top_k(
     possible and returned as-is.
     """
     k = _whole(k, "selection size", 1)
+    _check_alpha(alpha)
     phi, matrix = _shapley_and_matrix(oracle, cfg)
     phi, matrix = normalize_attributions(phi, matrix, k)
     return isv_large(phi, matrix, k, alpha)

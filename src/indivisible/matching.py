@@ -146,6 +146,8 @@ class MatchingGraph:
         alternating path to a free object exists; otherwise the state is
         left untouched and False is returned.
         """
+        if not isinstance(node, int) or not 0 <= node < self.copies:
+            raise InvalidRange(f"copy id {node!r} outside 0..{self.copies - 1}")
         if self.match_of_copy[node] != _FREE:
             raise InvalidRange(f"copy {node} is already matched")
         return self._augment(node)

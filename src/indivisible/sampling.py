@@ -60,8 +60,11 @@ _READ_SIZE = 1 << 16
 class ValueOracle:
     """A black-box game: a player count and a coalition evaluator.
 
-    ``evaluate`` must be deterministic per coalition within one run and
-    must return 0 for the empty coalition.
+    ``evaluate`` must be deterministic per coalition within one run.  The
+    estimators read every value through ``memoized``, which checks it as it
+    stores it: there must be one value per coalition asked, each a number
+    ``float`` accepts (``Fraction`` included), finite, and 0 for the empty
+    coalition.  A value that breaks a rule raises ``ProtocolViolation``.
     """
 
     n: int
@@ -73,6 +76,37 @@ class ValueOracle:
         """The values of ``masks``, in order; oracles that can answer a batch
         faster than one coalition at a time override this."""
         return [self.evaluate(mask) for mask in masks]
+
+
+def _checked(masks: Sequence[int], values) -> list[float]:
+    """``values``, the oracle's answers to ``masks``, as floats, if there is one
+    per mask and each is finite, and 0 for the empty coalition; otherwise
+    ``ProtocolViolation``.  The batch is checked whole; it is scanned value
+    by value only to name the value at fault."""
+    values = list(values)
+    if len(values) != len(masks):
+        raise ProtocolViolation(f"oracle gave {len(values)} values for {len(masks)} coalitions")
+    try:
+        floats = list(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        floats = None  # some value is not a number; the scan below names it
+    if (
+        floats is not None
+        and all(map(math.isfinite, floats))
+        and (0 not in masks or not any(x for mask, x in zip(masks, floats) if not mask))
+    ):
+        return floats
+    for mask, value in zip(masks, values):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise ProtocolViolation(
+                f"oracle value {value!r} for coalition mask {mask:b} is not a finite number"
+            )
+        if not mask and number:
+            raise ProtocolViolation(f"empty coalition must be worth 0, oracle said {value!r}")
 
 
 class TableOracle(ValueOracle):
@@ -91,7 +125,7 @@ class FunctionOracle(ValueOracle):
     """Oracle wrapping a plain callable from coalition mask to value."""
 
     def __init__(self, n: int, fn: Callable[[int], float]):
-        self.n = n
+        self.n = _whole(n, "player count", 1)
         self._fn = fn
 
     def evaluate(self, mask: int) -> float:
@@ -114,9 +148,10 @@ class MemoOracle(ValueOracle):
     def evaluate(self, mask: int) -> float:
         value = self._memo.get(mask)  # oracle values are floats, never None
         if value is None:
+            _check_coalition(mask, self.n, "coalition")
             if len(self._memo) >= _MEMO_SIZE:
                 self._memo.clear()
-            value = self._memo[mask] = self._oracle.evaluate(mask)
+            value = self._memo[mask] = _checked([mask], [self._oracle.evaluate(mask)])[0]
         return value
 
     def _fill(self, masks: Sequence[int]) -> None:
@@ -127,7 +162,7 @@ class MemoOracle(ValueOracle):
             memo.clear()
         missing = [mask for mask in dict.fromkeys(masks) if mask not in memo]
         if missing:
-            memo.update(zip(missing, self._oracle.evaluate_many(missing)))
+            memo.update(zip(missing, _checked(missing, self._oracle.evaluate_many(missing))))
 
 
 def memoized(oracle: ValueOracle) -> ValueOracle:
@@ -177,7 +212,7 @@ class SubprocessOracle(ValueOracle):
         values: list[float] = []
         for start in range(0, len(masks), self._batch):
             self._exchange(masks[start : start + self._batch], values)
-        return values
+        return _checked(masks, values)
 
     def _exchange(self, masks: Sequence[int], values: list[float]) -> None:
         """Write one batch of queries, then append the values of its replies."""
@@ -219,14 +254,7 @@ class SubprocessOracle(ValueOracle):
                 text = reply.decode("utf-8", "replace").strip()
                 if not _DECIMAL_RE.fullmatch(text):
                     raise ProtocolViolation(f"malformed oracle reply {text!r} to query {query}")
-                value = float(text)
-                if not math.isfinite(value):
-                    raise ProtocolViolation(f"non-finite oracle reply {text!r} to query {query}")
-                if masks[done] == 0 and value != 0.0:
-                    raise ProtocolViolation(
-                        f"empty coalition must be worth 0, oracle said {text!r}"
-                    )
-                values.append(value)
+                values.append(float(text))
                 done += 1
 
     def close(self) -> None:

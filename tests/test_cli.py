@@ -425,6 +425,14 @@ class TestGuarantee:
             with pytest.raises(ProcessLookupError):  # killed and reaped, not a zombie
                 os.kill(int(pid_file.read_text()), 0)
 
+    def test_bad_alpha_is_one_before_any_query(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sampling, "_REPLY_TIMEOUT", 10.0)  # how long a query would wait
+        cmd = oracle_command(tmp_path, "import sys\nfor line in sys.stdin:\n    pass\n")
+        argv = ["large", "--oracle", cmd, "--n", "3", "--total", "2", "--alpha", "2"]
+        start = time.monotonic()
+        assert in_process(argv) == 1  # in_process also checks that stdout stays empty
+        assert time.monotonic() - start < 5
+
     @pytest.mark.parametrize("fmt", ["human", "machine"])
     def test_closed_stdout_is_one(self, tmp_path, fmt):
         path = write_game(tmp_path, two_goods_game())

@@ -5,14 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+import indivisible
 from indivisible import (
     ApprovalProfile,
+    FunctionOracle,
     Game,
+    MatchingGraph,
     OwnerList,
     Region,
     RegionalVotes,
+    SamplerConfig,
     SubprocessOracle,
     TableOracle,
+    ValueOracle,
     coalition,
     coalition_game_from_regions,
     dhondt,
@@ -29,14 +34,20 @@ from indivisible import (
     lp_distance,
     make_game,
     members,
+    memoized,
     normalize_attributions,
     owner_list,
     reduced_game,
+    remainder_order,
+    sample_shapley,
+    sample_shapley_matrix,
+    select_top_k,
     shapley_exact,
     shapley_matrix_exact,
     unanimity_game,
 )
 from indivisible.errors import (
+    AlphaOutOfRange,
     DuplicateCoalition,
     EmptySupportCoalition,
     InvalidRange,
@@ -45,6 +56,7 @@ from indivisible.errors import (
     NonzeroEmptySet,
     PlayerCountMismatch,
     PlayerOutOfRange,
+    ProtocolViolation,
     SolverError,
     TooManyPlayers,
 )
@@ -524,6 +536,7 @@ def test_whole_float_counts_still_accepted():
     assert harmonic_tail(2.0, 2) == 0.5
     assert game_from_approvals(ApprovalProfile(("A",), ((1, 2.0),)), 3.0).values[1] == 3
     assert dhondt([1, 2], 3.0) == (1, 2)
+    assert sample_shapley(FunctionOracle(2.0, float), SamplerConfig(exhaustive=True)) == [1.0, 2.0]
 
 
 def _oracle_query(command, n):
@@ -533,6 +546,27 @@ def _oracle_query(command, n):
 
 G3 = unanimity_game(3, 0b011)
 PROFILE = ApprovalProfile(("A", "B"), ((0b01, 3), (0b11, 1)))
+ONE = SamplerConfig(samples=1)
+
+
+def _refuse(mask):
+    raise RuntimeError("this oracle must not be queried")
+
+
+class ShortBatchOracle(ValueOracle):
+    """Answers every batch with one value too few."""
+
+    n = 2
+
+    def evaluate_many(self, masks):
+        return [float(mask) for mask in masks[1:]]
+
+
+def _graph_with_copy():
+    graph = MatchingGraph([1])
+    graph.add_copy(0)
+    return graph
+
 
 # Each call must raise its error promptly: no hang, no silent wrong answer,
 # no bare TypeError/ValueError/IndexError.
@@ -569,6 +603,92 @@ GUARANTEES = {
     "reduced_game i=1.5": (lambda: reduced_game(G3, 1.5, 0), PlayerOutOfRange),
     "dhondt vote 'a'": (lambda: dhondt(["a", 1], 1), InvalidRange),
     "Region vote None": (lambda: Region(1, (None, 1)), InvalidRange),
+    "FunctionOracle n=-1": (lambda: sample_shapley(FunctionOracle(-1, float), ONE), InvalidRange),
+    "FunctionOracle n=2.5": (lambda: sample_shapley(FunctionOracle(2.5, float), ONE), InvalidRange),
+    "FunctionOracle n=0": (lambda: sample_shapley(FunctionOracle(0, float), ONE), InvalidRange),
+    "FunctionOracle nan": (
+        lambda: sample_shapley(FunctionOracle(2, lambda mask: NAN), ONE),
+        ProtocolViolation,
+    ),
+    "FunctionOracle worth 1 on the empty coalition": (
+        lambda: sample_shapley_matrix(
+            FunctionOracle(2, lambda mask: 1.0), SamplerConfig(exhaustive=True)
+        ),
+        ProtocolViolation,
+    ),
+    "evaluate_many one value short": (
+        lambda: sample_shapley(ShortBatchOracle(), ONE),
+        ProtocolViolation,
+    ),
+    "memoized nan": (
+        lambda: memoized(FunctionOracle(2, lambda mask: NAN)).evaluate(1),
+        ProtocolViolation,
+    ),
+    "memoized mask 1.5": (
+        lambda: memoized(FunctionOracle(2, lambda mask: NAN)).evaluate(1.5),
+        PlayerOutOfRange,
+    ),
+    "isv_large no players": (lambda: isv_large([], [], 1), InvalidRange),
+    "isv_large nan phi": (lambda: isv_large([NAN, 1.0], [[0.0, 0.0], [0.0, 0.0]], 2), InvalidRange),
+    "isv_large nan matrix": (lambda: isv_large([1.0], [[NAN]], 1), InvalidRange),
+    "isv_large alpha='x'": (lambda: isv_large([1.0], [[0.0]], 1, alpha="x"), AlphaOutOfRange),
+    "isv_large alpha=None": (lambda: isv_large([1.0], [[0.0]], 1, alpha=None), AlphaOutOfRange),
+    "select_top_k alpha='x'": (
+        lambda: select_top_k(TableOracle(G3), 1, ONE, alpha="x"),
+        AlphaOutOfRange,
+    ),
+    "select_top_k alpha=None": (
+        lambda: select_top_k(TableOracle(G3), 1, ONE, alpha=None),
+        AlphaOutOfRange,
+    ),
+    "select_top_k alpha=2 before sampling": (
+        lambda: select_top_k(FunctionOracle(2, _refuse), 1, ONE, alpha=2),
+        AlphaOutOfRange,
+    ),
+    "remainder_order nan": (lambda: remainder_order([NAN, 1.0]), InvalidRange),
+    "remainder_order inf": (lambda: remainder_order([INF]), InvalidRange),
+    "remainder_order 'x'": (lambda: remainder_order(["x"]), InvalidRange),
+    "members 1.5": (lambda: members(1.5), PlayerOutOfRange),
+    "MatchingGraph [1.5]": (lambda: MatchingGraph([1.5]), PlayerOutOfRange),
+    "MatchingGraph [None]": (lambda: MatchingGraph([None]), PlayerOutOfRange),
+    "MatchingGraph augment_from 0 without copies": (
+        lambda: MatchingGraph([1]).augment_from(0),
+        InvalidRange,
+    ),
+    "MatchingGraph augment_from -1 without copies": (
+        lambda: MatchingGraph([1]).augment_from(-1),
+        InvalidRange,
+    ),
+    "MatchingGraph augment_from -1": (lambda: _graph_with_copy().augment_from(-1), InvalidRange),
+    "coalition [10**400]": (lambda: coalition([10**400]), PlayerOutOfRange),
+    "Game n=10**400": (lambda: Game(10**400, (0,)), LengthMismatch),
+}
+
+# Public names that no row above (nor in BAD_NUMBERS) calls, each with the reason.
+# Calls that legitimately ask for unbounded work have no row either: dhondt
+# with 10**9 seats, isv_large with a total of 10**9, lp_distance with a huge
+# exponent, harmonic_tail(1, 10**9) and SamplerConfig with about 10**11 samples.
+NO_ROW = {
+    "MAX_TABLE_PLAYERS": "a constant",
+    "AllocationResult": "a result record",
+    "IsvResult": "a result record",
+    "ReducedGame": "a result record",
+    "OracleFailure": "an exception class",
+    "SolverError": "an exception class",
+    "ValidationError": "an exception class",
+    "ValueOracle": "abstract; ShortBatchOracle is the row for a subclass that breaks its contract",
+    "harsanyi_dividends": "takes only a Game; the Game rows cover a bad one",
+    "shapley_exact": "takes only a Game; the Game rows cover a bad one",
+    "shapley_matrix_exact": "takes only a Game; the Game rows cover a bad one",
+    "is_convex": "takes only a Game; the Game rows cover a bad one",
+    "is_positive": "takes only a Game; the Game rows cover a bad one",
+    "is_size_bounded": "takes only a Game; the Game rows cover a bad one",
+    "indivisible_shapley": "takes only a Game; the Game rows cover a bad one",
+    "isv_oracle_convex": "takes only a Game; the Game rows cover a bad one",
+    "game_from_owners": "takes an OwnerList; the OwnerList rows cover a bad one",
+    "shapley_from_owners": "takes only an OwnerList; the OwnerList rows cover a bad one",
+    "isv_allocation": "takes only an OwnerList; the OwnerList rows cover a bad one",
+    "apportion_isv": "its profile and seat count go to game_from_approvals, which has rows",
 }
 
 
@@ -587,3 +707,14 @@ def test_bad_coalition_or_count_raises_solver_error(call, error):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_every_public_name_has_a_row_or_a_reason():
+    """A name counts as covered when a row's id starts with it or its call uses it."""
+    rows = {**BAD_NUMBERS, **{name: call for name, (call, _) in GUARANTEES.items()}}
+    covered = {name.split()[0] for name in rows}
+    for call in rows.values():
+        covered.update(call.__code__.co_names)
+    public = set(indivisible.__all__)
+    assert public - covered - NO_ROW.keys() == set()
+    assert NO_ROW.keys() <= public - covered  # no stale or needless exclusion
