@@ -43,23 +43,34 @@ RationalVector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 
 
+def _shown(value, show=repr) -> str:
+    """``show(value)`` for an error message, or, for an int or rational too
+    long for Python to print, a short description of it."""
+    try:
+        return show(value)
+    except ValueError:  # past the interpreter's limit on int digits
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def coalition(players: Iterable[int]) -> int:
     """Bit mask of the given player indices."""
     mask = 0
     for p in players:
         if not isinstance(p, int) or p < 0:
-            raise PlayerOutOfRange(f"player index must be an int >= 0, got {p!r}")
+            raise PlayerOutOfRange(f"player index must be an int >= 0, got {_shown(p)}")
         try:
             mask |= 1 << p
         except OverflowError:  # an index beyond what a shift can take
-            raise PlayerOutOfRange(f"player index {p} is too large") from None
+            raise PlayerOutOfRange(f"player index {_shown(p)} is too large") from None
     return mask
 
 
 def members(mask: int) -> tuple[int, ...]:
     """Players in the coalition, ascending."""
     if not isinstance(mask, int) or mask < 0:
-        raise PlayerOutOfRange(f"coalition mask must be an int >= 0, got {mask!r}")
+        raise PlayerOutOfRange(f"coalition mask must be an int >= 0, got {_shown(mask)}")
     out = []
     while mask:
         low = mask & -mask
@@ -79,21 +90,23 @@ def _as_fraction(x) -> Fraction:
                 raise ValueError(exponent)
         return Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise InvalidRange(f"not a finite rational: {x!r}") from None
+        raise InvalidRange(f"not a finite rational: {_shown(x)}") from None
 
 
 def _whole(x, what: str, least: int) -> int:
     """``x`` as an int, if it is a whole rational ``>= least``."""
     value = _as_fraction(x)
     if value.denominator != 1 or value < least:
-        raise InvalidRange(f"{what} must be a whole number >= {least}, got {x!r}")
+        raise InvalidRange(f"{what} must be a whole number >= {least}, got {_shown(x)}")
     return int(value)
 
 
 def _check_coalition(mask, n: int, what: str) -> None:
     """Accept only an int ``mask`` with ``0 <= mask < 2**n``."""
     if not isinstance(mask, int) or mask >> n:  # a negative mask shifts to -1
-        raise PlayerOutOfRange(f"{what} mask {mask!r} is not a coalition of players 0..{n - 1}")
+        raise PlayerOutOfRange(
+            f"{what} mask {_shown(mask)} is not a coalition of players 0..{n - 1}"
+        )
 
 
 class RationalTable(Sequence):
@@ -176,7 +189,7 @@ class Game:
         size = len(values)
         # past the table's bit length 1 << n exceeds its size anyway, and a huge n would not fit
         if size != 1 << min(self.n, size.bit_length()):
-            raise LengthMismatch(f"value table has {size} entries, expected 2**{self.n}")
+            raise LengthMismatch(f"value table has {size} entries, expected 2**{_shown(self.n)}")
         if values.nums[0] != 0:
             raise NonzeroEmptySet("the empty coalition must have value 0")
 
@@ -243,10 +256,10 @@ def coalition_sums(x: Sequence[int]) -> list[int]:
 
 def _check_player_count(n: int, max_players: int) -> None:
     if not isinstance(n, int) or n < 1:
-        raise PlayerOutOfRange(f"player count must be an int >= 1, got {n!r}")
+        raise PlayerOutOfRange(f"player count must be an int >= 1, got {_shown(n)}")
     if n > max_players:
         raise TooManyPlayers(
-            f"full value tables support at most {max_players} players, got {n}"
+            f"full value tables support at most {max_players} players, got {_shown(n)}"
         )
 
 
@@ -445,14 +458,15 @@ def reduced_game(g: Game, i: int, c: Fraction) -> ReducedGame:
     _check_coalition(coalition([i]), g.n, "player")
     c = _as_fraction(c)
     if c < 0:
-        raise NegativePayoff(f"reduction payoff must be >= 0, got {c}")
+        raise NegativePayoff(f"reduction payoff must be >= 0, got {_shown(c, str)}")
     m = g.n - 1
     kept = tuple(p for p in range(g.n) if p != i)
     if m == 0:
         # removing the only player: the empty game must still be worth 0
         if g.grand_value != c:
             raise NonzeroEmptySet(
-                f"reducing the last player by {c} leaves value {g.grand_value - c}"
+                f"reducing the last player by {_shown(c, str)} leaves value "
+                f"{_shown(g.grand_value - c, str)}"
             )
         return ReducedGame(_EMPTY_GAME, kept)
     t = g.values

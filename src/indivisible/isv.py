@@ -29,6 +29,7 @@ from .games import (
     IntVector,
     RationalTable,
     _as_fraction,
+    _shown,
     _whole,
     coalition_sums,
     floor_values,
@@ -70,7 +71,7 @@ def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
     grand = g.grand_value
     if grand.denominator != 1 or grand < 0:
         raise NotIndivisible(
-            f"grand coalition must be worth a nonnegative integer, got {grand}"
+            f"grand coalition must be worth a nonnegative integer, got {_shown(grand, str)}"
         )
     sv = shapley_exact(g)
     order = remainder_order(sv)
@@ -133,7 +134,9 @@ def isv_oracle_convex(g: Game) -> IntVector:
     """
     grand = g.grand_value
     if grand.denominator != 1:
-        raise NotIndivisible(f"grand coalition must be worth an integer, got {grand}")
+        raise NotIndivisible(
+            f"grand coalition must be worth an integer, got {_shown(grand, str)}"
+        )
     sv = shapley_exact(g)
     order = remainder_order(sv)
     choices = [sorted({math.floor(s), math.ceil(s)}) for s in sv]

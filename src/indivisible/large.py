@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import AlphaOutOfRange, DegenerateTotal, InvalidRange, LengthMismatch
-from .games import _whole
+from .games import _shown, _whole
 from .sampling import SamplerConfig, ValueOracle, _shapley_and_matrix
 
 DEFAULT_ALPHA = 0.5
@@ -46,7 +46,7 @@ def _check_attributions(phi: Sequence[float], matrix: Sequence[Sequence[float]])
 
 def _check_alpha(alpha: float) -> None:
     if not (_finite([alpha]) and 0.0 <= alpha <= 1.0):
-        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha!r}")
+        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {_shown(alpha)}")
 
 
 def normalize_attributions(
@@ -64,7 +64,9 @@ def normalize_attributions(
     """
     n = _check_attributions(phi, matrix)
     if not (_finite([target_total]) and target_total > 0):
-        raise InvalidRange(f"target total must be a positive finite number, got {target_total!r}")
+        raise InvalidRange(
+            f"target total must be a positive finite number, got {_shown(target_total)}"
+        )
     shift = max(0.0, -min(phi)) if n else 0.0
     shifted = [p + shift for p in phi]
     mat = [list(row) for row in matrix]

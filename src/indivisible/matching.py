@@ -34,6 +34,7 @@ from .games import (
     RationalVector,
     _check_coalition,
     _read_entries,
+    _shown,
     _whole,
     coalition,
     game_from_weights,
@@ -147,7 +148,7 @@ class MatchingGraph:
         left untouched and False is returned.
         """
         if not isinstance(node, int) or not 0 <= node < self.copies:
-            raise InvalidRange(f"copy id {node!r} outside 0..{self.copies - 1}")
+            raise InvalidRange(f"copy id {_shown(node)} outside 0..{self.copies - 1}")
         if self.match_of_copy[node] != _FREE:
             raise InvalidRange(f"copy {node} is already matched")
         return self._augment(node)
@@ -243,7 +244,7 @@ def isv_from_dividends(n: int, dividends: Iterable[tuple[int, Fraction]]) -> Int
     residual: list[int] = []
     for mask, d in listed.items():
         if d < 0:
-            raise NegativeDividend(f"dividend of {members(mask)} is {d}")
+            raise NegativeDividend(f"dividend of {members(mask)} is {_shown(d, str)}")
         if d == 0:
             continue
         size = mask.bit_count()
@@ -251,7 +252,7 @@ def isv_from_dividends(n: int, dividends: Iterable[tuple[int, Fraction]]) -> Int
         residue = d - whole * size
         if residue.denominator != 1:
             raise NonIntegerResidue(
-                f"coalition {members(mask)} leaves a fractional residue {residue}"
+                f"coalition {members(mask)} leaves a fractional residue {_shown(residue, str)}"
             )
         for i in members(mask):
             base[i] += whole

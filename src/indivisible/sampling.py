@@ -14,15 +14,17 @@ bit-identical estimates on every run.
 Both estimators run through one summing loop, ``_sums``; exhaustive mode
 is a single chunk over all ``n!`` permutations.  Each estimator update
 comes in two halves: a query plan, the coalitions one permutation needs,
-and the sum itself.  ``_sums`` hands every permutation's plan to the
-memo, which drops hits and duplicates and asks the wrapped oracle for the
-rest in one ``evaluate_many`` call; the sum then reads each value straight
-from the memo, in the same order as before, so the plans change no
-estimate.  Once the memo holds all ``2**n`` coalitions, planning stops.
-A child-process oracle thus answers each permutation in a few pipe
-exchanges instead of one round trip per coalition.  ``large.select_top_k``
-takes the Shapley estimate and the synergy matrix from one pass, so it
-samples each permutation once.
+and the sum itself.  ``_sums`` groups each chunk's permutations into runs
+of about ``_RUN_MASKS`` planned coalitions and hands each run's plan to
+the memo, which drops hits, duplicates and coalitions already asked, and
+asks the wrapped oracle for the rest in one batch.  It asks for run
+``r + 1`` before it sums run ``r``, so a child-process oracle answers the
+next run while this process sums the last one.  The sum then reads each
+value straight from the memo, in the same order as before, so neither the
+plans nor the runs change an estimate.  Once the memo holds all ``2**n``
+coalitions, planning stops.  ``large.select_top_k`` takes the Shapley
+estimate and the synergy matrix from one pass, so it samples each
+permutation once.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ import re
 import select
 import shlex
 import subprocess
+import time
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, permutations
+from itertools import accumulate, islice, permutations
 from operator import or_
 from typing import Callable, Sequence
 
@@ -46,10 +50,11 @@ from .errors import (
     SpawnFailure,
     TooManyPlayers,
 )
-from .games import Game, _check_coalition, _whole
+from .games import Game, _check_coalition, _shown, _whole
 
 _CHUNK = 2048  # permutations per accumulation chunk; fixed for determinism
 _MEMO_SIZE = 1 << 20  # coalitions kept by MemoOracle
+_RUN_MASKS = 1 << 11  # coalitions planned per run of permutations
 _MASK64 = (1 << 64) - 1
 _EXHAUSTIVE_CAP = 9
 _DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
@@ -76,6 +81,13 @@ class ValueOracle:
         """The values of ``masks``, in order; oracles that can answer a batch
         faster than one coalition at a time override this."""
         return [self.evaluate(mask) for mask in masks]
+
+    def _ask(self, masks: Sequence[int]) -> Callable[[], list]:
+        """Start evaluating ``masks``; returns their completion, a call that
+        gives their values, in order and unchecked.  Completions are called
+        in the order of their asks.  This one evaluates at once."""
+        values = self.evaluate_many(masks)
+        return lambda: values
 
 
 def _checked(masks: Sequence[int], values) -> list[float]:
@@ -129,6 +141,7 @@ class FunctionOracle(ValueOracle):
         self._fn = fn
 
     def evaluate(self, mask: int) -> float:
+        _check_coalition(mask, self.n, "coalition")
         try:
             return float(self._fn(mask))
         except OracleFailure:
@@ -144,6 +157,7 @@ class MemoOracle(ValueOracle):
         self.n = oracle.n
         self._oracle = oracle
         self._memo: dict[int, float] = {}
+        self._flight: set[int] = set()  # asked of the wrapped oracle, not cached yet
 
     def evaluate(self, mask: int) -> float:
         value = self._memo.get(mask)  # oracle values are floats, never None
@@ -154,15 +168,23 @@ class MemoOracle(ValueOracle):
             value = self._memo[mask] = _checked([mask], [self._oracle.evaluate(mask)])[0]
         return value
 
-    def _fill(self, masks: Sequence[int]) -> None:
-        """Cache every one of ``masks``, asking the wrapped oracle for those
-        not cached yet in one ``evaluate_many`` call, each mask once."""
-        memo = self._memo
-        if len(memo) >= _MEMO_SIZE:
-            memo.clear()
-        missing = [mask for mask in dict.fromkeys(masks) if mask not in memo]
+    def _ask(self, masks: Sequence[int]) -> Callable[[], list]:
+        """Ask the wrapped oracle, in one batch, for each of ``masks`` that is
+        neither cached nor in flight yet, each mask once.  The completion
+        checks and caches their values."""
+        memo, flight = self._memo, self._flight
+        missing = [m for m in dict.fromkeys(masks) if m not in memo and m not in flight]
         if missing:
-            memo.update(zip(missing, _checked(missing, self._oracle.evaluate_many(missing))))
+            complete = self._oracle._ask(missing)
+            flight.update(missing)
+
+        def cache() -> list[float]:
+            if missing:
+                memo.update(zip(missing, _checked(missing, complete())))
+                flight.difference_update(missing)
+            return list(map(memo.__getitem__, masks))
+
+        return cache
 
 
 def memoized(oracle: ValueOracle) -> ValueOracle:
@@ -177,18 +199,18 @@ class SubprocessOracle(ValueOracle):
     Line protocol over the child's standard input/output: one query line
     per coalition, a string of ``n`` characters over ``{0,1}`` where
     character ``p`` is 1 iff player ``p`` is a member; the child replies
-    with one line holding a decimal number.  ``evaluate_many`` writes its
-    queries in batches of at most ``select.PIPE_BUF`` bytes, one write per
-    batch, and reads every reply of a batch before it writes the next, so
-    neither process can block on a full pipe.  A child that owes replies
-    and sends nothing for ``_REPLY_TIMEOUT`` seconds is killed, and the
-    query raises ``ChildExited``.
+    with one line holding a decimal number.  Queries may stay in flight:
+    ``_ask`` queues a batch and writes what the pipe takes, and its
+    completion pumps both pipes until that batch is answered.  Both pipes
+    are non-blocking and the pump waits in ``select`` only when neither can
+    move, so neither process can block on a full pipe.  A child that owes
+    replies and sends nothing for ``_REPLY_TIMEOUT`` seconds is killed, and
+    the query raises ``ChildExited``.
     """
 
     def __init__(self, command: str | Sequence[str], n: int):
         self.n = _whole(n, "player count", 1)
         self._width = f"0{self.n}b"
-        self._batch = max(1, select.PIPE_BUF // (self.n + 1))  # query lines per write
         try:
             args = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:
@@ -201,61 +223,124 @@ class SubprocessOracle(ValueOracle):
             )
         except OSError as exc:
             raise SpawnFailure(f"cannot spawn oracle {args!r}: {exc}") from exc
-        os.set_blocking(self._proc.stdout.fileno(), False)  # reads wait in select
+        self._in = self._proc.stdin.fileno()
+        self._out = self._proc.stdout.fileno()
+        os.set_blocking(self._in, False)  # both pipes wait in one select
+        os.set_blocking(self._out, False)
+        self._unsent = bytearray()  # query lines not written yet
+        self._owed = 0  # query lines written whose replies have not been read
+        self._waiting: deque[tuple[list[str], list[float]]] = deque()  # unanswered asks
+        self._partial = b""  # the start of a reply whose line has not ended yet
+        self._broken: OSError | None = None  # why the child takes no more queries
 
     def evaluate(self, mask: int) -> float:
         return self.evaluate_many([mask])[0]
 
     def evaluate_many(self, masks: Sequence[int]) -> list[float]:
+        return _checked(masks, self._ask(masks)())
+
+    def _ask(self, masks: Sequence[int]) -> Callable[[], list]:
+        """Queue one query per mask, every mask checked first, and write what
+        the pipe takes now; the completion pumps until they are answered."""
         for mask in masks:
             _check_coalition(mask, self.n, "coalition")
-        values: list[float] = []
-        for start in range(0, len(masks), self._batch):
-            self._exchange(masks[start : start + self._batch], values)
-        return _checked(masks, values)
-
-    def _exchange(self, masks: Sequence[int], values: list[float]) -> None:
-        """Write one batch of queries, then append the values of its replies."""
-        proc = self._proc
         queries = [format(mask, self._width)[::-1] for mask in masks]  # character p is bit p
-        if proc.poll() is not None:
-            raise ChildExited(
-                f"oracle exited with status {proc.returncode} before query {queries[0]}"
-            )
-        data = ("\n".join(queries) + "\n").encode()
+        values: list[float] = []
+        if queries:
+            proc = self._proc
+            if not self._waiting and proc.poll() is not None:
+                raise ChildExited(
+                    f"oracle exited with status {proc.returncode} before query {queries[0]}"
+                )
+            self._waiting.append((queries, values))
+            if self._broken is None:
+                self._unsent += ("\n".join(queries) + "\n").encode()
+                self._write()
+
+        def complete() -> list[float]:
+            if len(values) < len(queries):
+                self._pump(values, len(queries))
+            return values
+
+        return complete
+
+    def _query(self, k: int) -> str:
+        """The ``k``-th query, oldest first, among those not answered yet."""
+        unanswered = (q for queries, values in self._waiting for q in queries[len(values) :])
+        return next(islice(unanswered, k, None))
+
+    def _write(self) -> bool:
+        """Write what the pipe takes of the unsent queries; whether it moved."""
         try:
-            while data:  # one whole write, unless a single query exceeds PIPE_BUF
-                data = data[os.write(proc.stdin.fileno(), data) :]
-        except OSError as exc:  # a broken pipe included
-            raise ChildExited(f"oracle pipe closed on query {queries[0]}: {exc}") from exc
-        out = proc.stdout.fileno()
-        done = 0
-        pending = b""  # the start of a reply whose line has not ended yet
-        while done < len(queries):
+            sent = os.write(self._in, self._unsent)
+        except BlockingIOError:
+            return False
+        except OSError as exc:  # a broken pipe included: the rest can never be answered
+            self._broken = exc
+            self._unsent.clear()
+            return True
+        self._owed += self._unsent.count(b"\n", 0, sent)
+        del self._unsent[:sent]
+        return True
+
+    def _pump(self, values: list[float], count: int) -> None:
+        """Write queued queries and read replies until ``values`` holds ``count``."""
+        out = self._out
+        deadline = None
+        while len(values) < count:
+            if not self._owed and self._broken is not None:
+                raise ChildExited(
+                    f"oracle pipe closed on query {self._query(0)}: {self._broken}"
+                ) from self._broken
+            wrote = bool(self._unsent) and self._write()
             try:
                 chunk = os.read(out, _READ_SIZE)
-            except BlockingIOError:  # nothing to read yet: wait, up to the deadline
-                if not select.select([out], [], [], _REPLY_TIMEOUT)[0]:
-                    proc.kill()
+            except BlockingIOError:  # nothing to read yet
+                if wrote:
+                    continue
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + _REPLY_TIMEOUT
+                ready = select.select(
+                    [out], [self._in] if self._unsent else [], [], max(0.0, deadline - now)
+                )
+                if not any(ready):
+                    self._proc.kill()
                     raise ChildExited(
-                        f"oracle sent no reply for {_REPLY_TIMEOUT:g} s to query {queries[done]}"
+                        f"oracle sent no reply for {_REPLY_TIMEOUT:g} s to query {self._query(0)}"
                     ) from None
                 continue
             if not chunk:
-                raise ChildExited(f"oracle closed its output on query {queries[done]}")
-            *replies, pending = (pending + chunk).split(b"\n")
-            if len(replies) + (pending != b"") > len(queries) - done:  # bytes past the last reply
-                raise ProtocolViolation(
-                    f"oracle sent more replies than the {len(queries)} queries up to {queries[-1]}"
-                )
-            for reply in replies:
-                query = queries[done]
+                raise ChildExited(f"oracle closed its output on query {self._query(0)}")
+            deadline = None
+            self._take(chunk)
+
+    def _take(self, chunk: bytes) -> None:
+        """Give the replies in ``chunk`` to the oldest unanswered queries."""
+        *replies, self._partial = (self._partial + chunk).split(b"\n")
+        owed = self._owed
+        if len(replies) + (self._partial != b"") > owed:  # bytes past the last query sent
+            raise ProtocolViolation(
+                f"oracle sent more replies than the {owed} queries up to "
+                f"{self._query(max(owed - 1, 0))}"
+            )
+        self._owed = owed - len(replies)
+        waiting = self._waiting
+        start = 0
+        while start < len(replies):
+            queries, values = waiting[0]
+            end = start + len(queries) - len(values)
+            for reply in replies[start:end]:
                 # an undecodable reply then fails the decimal check
                 text = reply.decode("utf-8", "replace").strip()
                 if not _DECIMAL_RE.fullmatch(text):
-                    raise ProtocolViolation(f"malformed oracle reply {text!r} to query {query}")
+                    raise ProtocolViolation(
+                        f"malformed oracle reply {text!r} to query {queries[len(values)]}"
+                    )
                 values.append(float(text))
-                done += 1
+            if len(values) == len(queries):
+                waiting.popleft()
+            start = end
 
     def close(self) -> None:
         """End the session: close the child's input, reap the child (killed
@@ -316,14 +401,14 @@ def _validate(cfg: SamplerConfig, n: int) -> None:
     for name in ("samples", "seed"):
         value = getattr(cfg, name)
         if not isinstance(value, int):
-            raise InvalidRange(f"{name} must be an int, got {value!r}")
+            raise InvalidRange(f"{name} must be an int, got {_shown(value)}")
     if cfg.exhaustive:
         if n > _EXHAUSTIVE_CAP:
             raise TooManyPlayers(
                 f"exhaustive mode enumerates n! permutations; capped at {_EXHAUSTIVE_CAP} players"
             )
     elif cfg.samples < 1:
-        raise InvalidRange(f"sample count must be >= 1, got {cfg.samples}")
+        raise InvalidRange(f"sample count must be >= 1, got {_shown(cfg.samples)}")
 
 
 def _sums(
@@ -332,16 +417,19 @@ def _sums(
     """Sum ``add(perm, ev, part)`` over the configured permutations.
 
     ``plan(perm)`` lists every coalition that ``add`` evaluates for
-    ``perm``.  The memo caches them all before ``add`` runs, so ``ev``
-    is a plain lookup in the memo's dict.  Returns ``size`` flat totals
-    and the permutation count.  Each chunk of ``_CHUNK`` permutations is
-    summed into its own partial, and partials are merged in chunk order;
-    exhaustive mode is a single chunk.
+    ``perm``.  Each chunk's permutations go in runs that plan about
+    ``_RUN_MASKS`` coalitions; the memo is asked for run ``r + 1`` before
+    run ``r`` is summed, and caches a run before it is summed, so ``ev``
+    is a plain lookup in the memo's dict.  The memo starts over only with
+    no run in flight, so it may overrun ``_MEMO_SIZE`` by one run's plan.
+    Returns ``size`` flat totals and the permutation count.  Each chunk of
+    ``_CHUNK`` permutations is summed into its own partial, and partials
+    are merged in chunk order; exhaustive mode is a single chunk.
     """
     n = oracle.n
     _validate(cfg, n)
     memo = memoized(oracle)
-    cached = memo._memo
+    cached, flight = memo._memo, memo._flight
     ev = cached.__getitem__
     everything = 1 << n
     if cfg.exhaustive:
@@ -354,13 +442,45 @@ def _sums(
             for start in range(0, count, _CHUNK)
         )
     total = [0.0] * size
-    for chunk in chunks:
-        part = [0.0] * size
-        for perm in chunk:
-            if len(cached) < everything:
-                memo._fill(plan(perm))
+
+    def runs():
+        """Each run: its permutations and plan, its chunk's partial, and
+        whether it ends the chunk."""
+        for chunk in chunks:
+            part = [0.0] * size
+            perms: list = []
+            masks: list[int] = []
+            for perm in chunk:
+                perms.append(perm)
+                if len(cached) + len(flight) < everything:
+                    masks += plan(perm)
+                if len(masks) >= _RUN_MASKS or len(perms) >= _RUN_MASKS:
+                    yield perms, masks, part, False
+                    perms, masks = [], []
+            yield perms, masks, part, True
+
+    def finish(perms, part, last, complete) -> None:
+        complete()
+        for perm in perms:
             add(perm, ev, part)
-        total = [a + b for a, b in zip(total, part)]
+        if last:
+            total[:] = [a + b for a, b in zip(total, part)]
+
+    pending = None  # the run asked last and not summed yet
+    try:
+        for perms, masks, part, last in runs():
+            if masks and len(cached) + len(flight) >= _MEMO_SIZE:
+                if pending:
+                    finish(*pending)
+                    pending = None
+                cached.clear()
+            complete = memo._ask(masks)
+            if pending:
+                finish(*pending)
+            pending = perms, part, last, complete
+        finish(*pending)
+    finally:
+        flight.clear()  # after a failure, no completion is coming
     if not all(map(math.isfinite, total)):
         raise OracleFailure("sampled sums overflow: oracle values are too large for floats")
     return total, count

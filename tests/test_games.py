@@ -52,6 +52,7 @@ from indivisible.errors import (
     EmptySupportCoalition,
     InvalidRange,
     LengthMismatch,
+    NegativeDividend,
     NegativePayoff,
     NonzeroEmptySet,
     PlayerCountMismatch,
@@ -662,6 +663,19 @@ GUARANTEES = {
     "MatchingGraph augment_from -1": (lambda: _graph_with_copy().augment_from(-1), InvalidRange),
     "coalition [10**400]": (lambda: coalition([10**400]), PlayerOutOfRange),
     "Game n=10**400": (lambda: Game(10**400, (0,)), LengthMismatch),
+    "FunctionOracle evaluate 99": (
+        lambda: FunctionOracle(2, lambda mask: mask).evaluate(99),
+        PlayerOutOfRange,
+    ),
+    # an int past 4300 digits cannot be printed; its message must still be made
+    "Game n=-10**5000": (lambda: Game(-(10**5000), (0,)), InvalidRange),
+    "coalition [-10**5000]": (lambda: coalition([-(10**5000)]), PlayerOutOfRange),
+    "members -10**5000": (lambda: members(-(10**5000)), PlayerOutOfRange),
+    "harmonic_tail -10**5000": (lambda: harmonic_tail(-(10**5000), 1), InvalidRange),
+    "isv_from_dividends -10**5000": (
+        lambda: isv_from_dividends(2, [(1, -(10**5000))]),
+        NegativeDividend,
+    ),
 }
 
 # Public names that no row above (nor in BAD_NUMBERS) calls, each with the reason.

@@ -1,4 +1,5 @@
 import random
+import select
 import signal
 import sys
 import time
@@ -310,8 +311,8 @@ class TestMemoization:
 
         oracle = memoized(Recording(3, lambda mask: float(mask.bit_count())))
         assert oracle.evaluate(0b001) == 1.0
-        oracle._fill([0b011, 0b001, 0b011, 0b111])
-        oracle._fill([0b111, 0b001])
+        oracle._ask([0b011, 0b001, 0b011, 0b111])()
+        oracle._ask([0b111, 0b001])()
         assert batches == [[0b011, 0b111]]
         assert oracle._memo == {0b001: 1.0, 0b011: 2.0, 0b111: 3.0}
 
@@ -326,18 +327,24 @@ def needed_coalitions(n, cfg, matrix):
     """Every coalition an estimator needs: for each sampled permutation and
     player ``i`` after prefix ``S``, ``S+i``, and with ``matrix`` also
     ``S-j+i`` and ``S-j`` for each ``j > i`` in ``S``."""
-    needed = set()
+    return set(needed_in_order(n, cfg, matrix))
+
+
+def needed_in_order(n, cfg, matrix):
+    """``needed_coalitions`` in order of first appearance, each ``j`` taken
+    in ascending order."""
+    needed = {}
     for t in range(cfg.samples):
         before = set()
         for i in splitmix_permutation(n, cfg.seed, t):
-            needed.add(coalition(before | {i}))
+            needed[coalition(before | {i})] = None
             if matrix:
-                for j in before:
+                for j in sorted(before):
                     if j > i:
-                        needed.add(coalition(before - {j} | {i}))
-                        needed.add(coalition(before - {j}))
+                        needed[coalition(before - {j} | {i})] = None
+                        needed[coalition(before - {j})] = None
             before.add(i)
-    return needed
+    return list(needed)
 
 
 class TestQueryPlans:
@@ -424,7 +431,7 @@ class TestSubprocessOracle:
     def test_batch_spans_several_writes(self, deadline):
         masks = [random.Random(4).getrandbits(64) for _ in range(200)]
         with SubprocessOracle(MASK_CHILD, 64) as oracle:
-            assert len(masks) > oracle._batch  # 63 queries of 65 bytes fill one write
+            assert len(masks) * 65 > select.PIPE_BUF  # 200 query lines of 65 bytes
             assert oracle.evaluate_many(masks) == [float(mask) for mask in masks]
 
     def test_bad_mask_is_rejected_before_any_query(self):
@@ -486,6 +493,93 @@ class TestSubprocessOracle:
         with SubprocessOracle(child, 2) as oracle:
             with pytest.raises(ProtocolViolation, match="more replies"):
                 oracle.evaluate(0b01)
+
+
+class TestPipeline:
+    """Runs of permutations are asked for before the last run is summed."""
+
+    class Recording(FunctionOracle):
+        def __init__(self, n, fn):
+            super().__init__(n, fn)
+            self.batches = []
+
+        def evaluate_many(self, masks):
+            self.batches.append(list(masks))
+            return super().evaluate_many(masks)
+
+    @pytest.mark.parametrize("estimator", [sample_shapley, sample_shapley_matrix])
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_queries_in_first_appearance_order(self, deadline, n, estimator):
+        table = TableOracle(random_game(random.Random(251 + n), n))
+        oracle = self.Recording(n, table.evaluate)
+        cfg = SamplerConfig(samples=2 * _CHUNK + 5, seed=3)
+        estimator(oracle, cfg)
+        asked = [mask for batch in oracle.batches for mask in batch]
+        assert asked == needed_in_order(n, cfg, estimator is sample_shapley_matrix)
+
+    @pytest.mark.parametrize("estimator", [sample_shapley, sample_shapley_matrix])
+    def test_small_memo_and_runs_change_no_estimate(self, deadline, monkeypatch, estimator):
+        n = 9
+        table = TableOracle(random_game(random.Random(257), n))
+        cfg = SamplerConfig(samples=_CHUNK + 300, seed=8)
+        expected = estimator(table, cfg)
+        monkeypatch.setattr(sampling, "_MEMO_SIZE", 50)
+        monkeypatch.setattr(sampling, "_RUN_MASKS", 40)
+        memo = memoized(table)
+        largest = []
+
+        def value(mask):
+            largest.append(len(memo._memo) + len(memo._flight))
+            return table.evaluate(mask)
+
+        memo._oracle = FunctionOracle(n, value)
+        assert repr(estimator(memo, cfg)) == repr(expected)
+        assert repr(estimator(table, cfg)) == repr(expected)
+        # one run plans fewer than 40 coalitions plus one permutation's plan
+        assert max(largest) <= 50 + 40 + n * n
+
+    def test_both_pipes_overflow(self, deadline, monkeypatch):
+        # a run of 400 queries of 201 bytes fills the query pipe (64 KiB on
+        # Linux); 400 replies of 5001 bytes fill the reply pipe many times over
+        monkeypatch.setattr(sampling, "_RUN_MASKS", 400)
+        child = python_child(
+            "for line in sys.stdin:\n"
+            "    print(f\"{line.find('1') + 1 + line.count('1'):>5000}\")\n"
+        )
+        n, cfg = 200, SamplerConfig(samples=8, seed=1)
+        with SubprocessOracle(child, n) as oracle:
+            est = sample_shapley(oracle, cfg)
+        assert repr(est) == repr(sample_shapley(lowest_oracle(n), cfg))
+
+    def test_child_closing_its_output_mid_run(self, deadline, monkeypatch):
+        monkeypatch.setattr(sampling, "_RUN_MASKS", 40)
+        child = python_child(
+            "for k, line in enumerate(sys.stdin):\n"
+            "    if k == 100:\n"
+            "        break\n"
+            "    print(line.find('1') + 1 + line.count('1'))\n"
+        )
+        n, cfg = 9, SamplerConfig(samples=100, seed=4)
+        first_unanswered = format(needed_in_order(n, cfg, False)[100], f"0{n}b")[::-1]
+        with SubprocessOracle(child, n) as oracle:
+            memo = memoized(oracle)
+            with pytest.raises(ChildExited, match=f"query {first_unanswered}\\b"):
+                sample_shapley(memo, cfg)
+        assert not memo._flight
+
+    def test_child_values_are_gated_once(self, deadline, monkeypatch):
+        gated = []
+        checked = sampling._checked
+
+        def counting(masks, values):
+            gated.append(len(masks))
+            return checked(masks, values)
+
+        monkeypatch.setattr(sampling, "_checked", counting)
+        n, cfg = 9, SamplerConfig(samples=300, seed=6)
+        with SubprocessOracle(LOWEST_CHILD, n) as oracle:
+            sample_shapley(oracle, cfg)
+        assert sum(gated) == len(needed_coalitions(n, cfg, False))
 
 
 class TestOverflowingSums:
