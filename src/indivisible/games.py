@@ -254,13 +254,17 @@ def coalition_sums(x: Sequence[int]) -> list[int]:
     return sums
 
 
-def _check_player_count(n: int, max_players: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise PlayerOutOfRange(f"player count must be an int >= 1, got {_shown(n)}")
+def _check_player_count(n: int, max_players: int) -> int:
+    """``n`` as an int, if it is a whole number from 1 to ``max_players``."""
+    try:
+        n = _whole(n, "player count", 1)
+    except InvalidRange as exc:
+        raise PlayerOutOfRange(*exc.args) from None
     if n > max_players:
         raise TooManyPlayers(
             f"full value tables support at most {max_players} players, got {_shown(n)}"
         )
+    return n
 
 
 def make_game(
@@ -270,7 +274,7 @@ def make_game(
     max_players: int = MAX_TABLE_PLAYERS,
 ) -> Game:
     """Build a game from (coalition mask, value) pairs; unlisted coalitions are 0."""
-    _check_player_count(n, max_players)
+    n = _check_player_count(n, max_players)
     nums = [0] * (1 << n)
     dens = [0] * (1 << n)
     for mask, value in _read_entries(n, entries).items():
@@ -317,7 +321,7 @@ def game_from_weights(
     sub-coalitions, computed by one subset-sum (zeta) transform in
     O(n 2^n).  Masks must lie in ``1 .. 2**n - 1``.
     """
-    _check_player_count(n, max_players)
+    n = _check_player_count(n, max_players)
     table = [0] * (1 << n)
     for mask, w in weights:
         table[mask] += w
@@ -329,7 +333,7 @@ def unanimity_game(n: int, support: int, *, max_players: int = MAX_TABLE_PLAYERS
     """The game worth 1 on every superset of ``support`` and 0 elsewhere."""
     if support == 0:
         raise EmptySupportCoalition("unanimity games need a nonempty support coalition")
-    _check_player_count(n, max_players)
+    n = _check_player_count(n, max_players)
     _check_coalition(support, n, "support")
     return Game(n, RationalTable(int(mask & support == support) for mask in range(1 << n)))
 

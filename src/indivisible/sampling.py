@@ -38,7 +38,7 @@ import subprocess
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, islice, permutations
+from itertools import accumulate, permutations
 from operator import or_
 from typing import Callable, Sequence
 
@@ -84,8 +84,9 @@ class ValueOracle:
 
     def _ask(self, masks: Sequence[int]) -> Callable[[], list]:
         """Start evaluating ``masks``; returns their completion, a call that
-        gives their values, in order and unchecked.  Completions are called
-        in the order of their asks.  This one evaluates at once."""
+        gives their values, in order and unchecked.  Each completion is
+        called once, in the order of the asks, unless its caller fails first
+        and drops it.  This one evaluates at once."""
         values = self.evaluate_many(masks)
         return lambda: values
 
@@ -134,7 +135,8 @@ class TableOracle(ValueOracle):
 
 
 class FunctionOracle(ValueOracle):
-    """Oracle wrapping a plain callable from coalition mask to value."""
+    """Oracle wrapping a plain callable from coalition mask to value; the
+    value is returned as it is, for the estimators to convert and check."""
 
     def __init__(self, n: int, fn: Callable[[int], float]):
         self.n = _whole(n, "player count", 1)
@@ -143,7 +145,7 @@ class FunctionOracle(ValueOracle):
     def evaluate(self, mask: int) -> float:
         _check_coalition(mask, self.n, "coalition")
         try:
-            return float(self._fn(mask))
+            return self._fn(mask)
         except OracleFailure:
             raise
         except Exception as exc:
@@ -199,13 +201,14 @@ class SubprocessOracle(ValueOracle):
     Line protocol over the child's standard input/output: one query line
     per coalition, a string of ``n`` characters over ``{0,1}`` where
     character ``p`` is 1 iff player ``p`` is a member; the child replies
-    with one line holding a decimal number.  Queries may stay in flight:
-    ``_ask`` queues a batch and writes what the pipe takes, and its
-    completion pumps both pipes until that batch is answered.  Both pipes
-    are non-blocking and the pump waits in ``select`` only when neither can
-    move, so neither process can block on a full pipe.  A child that owes
-    replies and sends nothing for ``_REPLY_TIMEOUT`` seconds is killed, and
-    the query raises ``ChildExited``.
+    with one line holding a decimal number, in query order.  ``_ask``
+    queues a batch and writes what the pipe takes; its completion pumps
+    both pipes until the replies up to that batch's last are read.  Both
+    pipes are non-blocking and the pump waits in ``select`` only when
+    neither can move, so neither process can block on a full pipe.  A
+    child that owes replies and sends nothing for ``_REPLY_TIMEOUT``
+    seconds is killed.  The first failed exchange ends the session: every
+    later query raises an ``OracleFailure`` that names it.
     """
 
     def __init__(self, command: str | Sequence[str], n: int):
@@ -229,9 +232,12 @@ class SubprocessOracle(ValueOracle):
         os.set_blocking(self._out, False)
         self._unsent = bytearray()  # query lines not written yet
         self._owed = 0  # query lines written whose replies have not been read
-        self._waiting: deque[tuple[list[str], list[float]]] = deque()  # unanswered asks
+        self._queries: deque[str] = deque()  # query lines not answered yet, oldest first
+        self._replies: list[float] = []  # replies read and not taken by a completion yet
+        self._taken = 0  # replies taken off the front of ``_replies``
         self._partial = b""  # the start of a reply whose line has not ended yet
         self._broken: OSError | None = None  # why the child takes no more queries
+        self._failure: OracleFailure | None = None  # the exchange that ended the session
 
     def evaluate(self, mask: int) -> float:
         return self.evaluate_many([mask])[0]
@@ -242,32 +248,42 @@ class SubprocessOracle(ValueOracle):
     def _ask(self, masks: Sequence[int]) -> Callable[[], list]:
         """Queue one query per mask, every mask checked first, and write what
         the pipe takes now; the completion pumps until they are answered."""
+        self._live()
         for mask in masks:
             _check_coalition(mask, self.n, "coalition")
         queries = [format(mask, self._width)[::-1] for mask in masks]  # character p is bit p
-        values: list[float] = []
+        start = self._taken + len(self._replies) + len(self._queries)  # replies due before these
         if queries:
-            proc = self._proc
-            if not self._waiting and proc.poll() is not None:
+            if not self._queries and self._proc.poll() is not None:
                 raise ChildExited(
-                    f"oracle exited with status {proc.returncode} before query {queries[0]}"
+                    f"oracle exited with status {self._proc.returncode} before query {queries[0]}"
                 )
-            self._waiting.append((queries, values))
+            self._queries += queries
             if self._broken is None:
                 self._unsent += ("\n".join(queries) + "\n").encode()
                 self._write()
 
         def complete() -> list[float]:
-            if len(values) < len(queries):
-                self._pump(values, len(queries))
+            self._live()
+            skip = start - self._taken  # replies to earlier asks whose completion was dropped
+            end = skip + len(queries)
+            if len(self._replies) < end:
+                try:
+                    self._pump(end)
+                except OracleFailure as exc:
+                    self._failure = exc
+                    raise
+            values = self._replies[skip:end]
+            del self._replies[:end]
+            self._taken += end
             return values
 
         return complete
 
-    def _query(self, k: int) -> str:
-        """The ``k``-th query, oldest first, among those not answered yet."""
-        unanswered = (q for queries, values in self._waiting for q in queries[len(values) :])
-        return next(islice(unanswered, k, None))
+    def _live(self) -> None:
+        """Raise if an exchange failed: later replies may answer other queries."""
+        if self._failure is not None:
+            raise OracleFailure(f"oracle session ended at an earlier failure: {self._failure}")
 
     def _write(self) -> bool:
         """Write what the pipe takes of the unsent queries; whether it moved."""
@@ -283,14 +299,14 @@ class SubprocessOracle(ValueOracle):
         del self._unsent[:sent]
         return True
 
-    def _pump(self, values: list[float], count: int) -> None:
-        """Write queued queries and read replies until ``values`` holds ``count``."""
+    def _pump(self, count: int) -> None:
+        """Write queued queries and read replies until ``count`` replies wait."""
         out = self._out
         deadline = None
-        while len(values) < count:
+        while len(self._replies) < count:
             if not self._owed and self._broken is not None:
                 raise ChildExited(
-                    f"oracle pipe closed on query {self._query(0)}: {self._broken}"
+                    f"oracle pipe closed on query {self._queries[0]}: {self._broken}"
                 ) from self._broken
             wrote = bool(self._unsent) and self._write()
             try:
@@ -307,40 +323,32 @@ class SubprocessOracle(ValueOracle):
                 if not any(ready):
                     self._proc.kill()
                     raise ChildExited(
-                        f"oracle sent no reply for {_REPLY_TIMEOUT:g} s to query {self._query(0)}"
+                        f"oracle sent no reply for {_REPLY_TIMEOUT:g} s "
+                        f"to query {self._queries[0]}"
                     ) from None
                 continue
             if not chunk:
-                raise ChildExited(f"oracle closed its output on query {self._query(0)}")
+                raise ChildExited(f"oracle closed its output on query {self._queries[0]}")
             deadline = None
             self._take(chunk)
 
     def _take(self, chunk: bytes) -> None:
-        """Give the replies in ``chunk`` to the oldest unanswered queries."""
+        """Append the replies in ``chunk``, each answering the oldest unanswered query."""
         *replies, self._partial = (self._partial + chunk).split(b"\n")
         owed = self._owed
         if len(replies) + (self._partial != b"") > owed:  # bytes past the last query sent
             raise ProtocolViolation(
                 f"oracle sent more replies than the {owed} queries up to "
-                f"{self._query(max(owed - 1, 0))}"
+                f"{self._queries[max(owed - 1, 0)]}"
             )
         self._owed = owed - len(replies)
-        waiting = self._waiting
-        start = 0
-        while start < len(replies):
-            queries, values = waiting[0]
-            end = start + len(queries) - len(values)
-            for reply in replies[start:end]:
-                # an undecodable reply then fails the decimal check
-                text = reply.decode("utf-8", "replace").strip()
-                if not _DECIMAL_RE.fullmatch(text):
-                    raise ProtocolViolation(
-                        f"malformed oracle reply {text!r} to query {queries[len(values)]}"
-                    )
-                values.append(float(text))
-            if len(values) == len(queries):
-                waiting.popleft()
-            start = end
+        for reply in replies:
+            query = self._queries.popleft()
+            # an undecodable reply then fails the decimal check
+            text = reply.decode("utf-8", "replace").strip()
+            if not _DECIMAL_RE.fullmatch(text):
+                raise ProtocolViolation(f"malformed oracle reply {text!r} to query {query}")
+            self._replies.append(float(text))
 
     def close(self) -> None:
         """End the session: close the child's input, reap the child (killed
@@ -398,10 +406,10 @@ def _permutation(n: int, seed: int, t: int) -> tuple[int, ...]:
 
 
 def _validate(cfg: SamplerConfig, n: int) -> None:
-    for name in ("samples", "seed"):
+    for name, kind in (("samples", int), ("seed", int), ("exhaustive", bool)):
         value = getattr(cfg, name)
-        if not isinstance(value, int):
-            raise InvalidRange(f"{name} must be an int, got {_shown(value)}")
+        if not isinstance(value, kind):
+            raise InvalidRange(f"{name} must be of type {kind.__name__}, got {_shown(value)}")
     if cfg.exhaustive:
         if n > _EXHAUSTIVE_CAP:
             raise TooManyPlayers(

@@ -124,6 +124,12 @@ class TestConstruction:
             make_game(21, [])
         make_game(5, [], max_players=5)
 
+    def test_whole_float_player_count(self):
+        g = make_game(3.0, [(0b111, F(5))])
+        assert type(g.n) is int and g == make_game(3, [(0b111, F(5))])
+        u = unanimity_game(2.0, 0b11)
+        assert type(u.n) is int and u == unanimity_game(2, 0b11)
+
 
 class TestUnanimity:
     def test_two_players(self):
@@ -675,6 +681,17 @@ GUARANTEES = {
     "isv_from_dividends -10**5000": (
         lambda: isv_from_dividends(2, [(1, -(10**5000))]),
         NegativeDividend,
+    ),
+    # a whole float player count is read as an int, so the next check is reached
+    "make_game n=3.0": (lambda: make_game(3.0, [(0, 1)]), NonzeroEmptySet),
+    "unanimity_game n=2.0": (lambda: unanimity_game(2.0, 1, max_players=1), TooManyPlayers),
+    "FunctionOracle None": (
+        lambda: sample_shapley(FunctionOracle(2, lambda mask: None), SamplerConfig(samples=2)),
+        ProtocolViolation,
+    ),
+    "SamplerConfig exhaustive 'no'": (
+        lambda: sample_shapley(TableOracle(G3), SamplerConfig(samples=3, exhaustive="no")),
+        InvalidRange,
     ),
 }
 

@@ -582,6 +582,82 @@ class TestPipeline:
         assert sum(gated) == len(needed_coalitions(n, cfg, False))
 
 
+class TestReplyQueue:
+    """Replies go, in order, to the completions of the asks; a failed exchange
+    ends the session."""
+
+    def test_two_asks_in_flight(self, deadline):
+        n = 200  # query lines of 201 bytes: 1000 of them overfill the pipe
+        rng = random.Random(17)
+        first = [rng.getrandbits(n) for _ in range(50)]
+        second = [rng.getrandbits(n) for _ in range(1000)] + [0]
+        with SubprocessOracle(LOWEST_CHILD, n) as oracle:
+            complete_first = oracle._ask(first)
+            complete_second = oracle._ask(second)
+            assert oracle._unsent  # part of the second ask waits for the pipe
+            assert complete_first() == lowest_oracle(n).evaluate_many(first)
+            assert complete_second() == lowest_oracle(n).evaluate_many(second)
+
+    def test_dropped_completion_leaves_no_reply_behind(self, deadline):
+        with SubprocessOracle(MASK_CHILD, 3) as oracle:
+            oracle._ask([0b001, 0b010])  # its caller failed before completing it
+            assert oracle._ask([0b100, 0b011])() == [4.0, 3.0]
+            assert oracle.evaluate(0b111) == 7.0
+
+    def test_pending_run_of_a_failed_estimate_is_skipped(self, deadline, monkeypatch):
+        # the first run's values are rejected while the second run is in flight
+        monkeypatch.setattr(sampling, "_RUN_MASKS", 40)
+        child = python_child(
+            "for k, line in enumerate(sys.stdin):\n"
+            "    print('1e999' if k == 3 else int(line[::-1], 2))\n"
+        )
+        with SubprocessOracle(child, 9) as oracle:
+            with pytest.raises(ProtocolViolation, match="not a finite number"):
+                sample_shapley(oracle, SamplerConfig(samples=100, seed=4))
+            assert oracle.evaluate(0b101010101) == float(0b101010101)
+
+    @pytest.mark.parametrize(
+        "body, first",
+        [
+            (
+                "for k, line in enumerate(sys.stdin):\n"
+                "    print('abc' if k == 1 else 10 * line.count('1'))\n",
+                ProtocolViolation,
+            ),
+            (
+                "for line in sys.stdin:\n    sys.stdout.buffer.write(b'1\\n1\\n')\n",
+                ProtocolViolation,
+            ),
+            ("for line in sys.stdin:\n    print(1)\n    break\n", ChildExited),
+            ("for line in sys.stdin:\n    time.sleep(60)\n", ChildExited),
+        ],
+        ids=["malformed reply", "extra reply", "closed output", "silence"],
+    )
+    def test_failed_session_stays_failed(self, deadline, monkeypatch, body, first):
+        monkeypatch.setattr(sampling, "_REPLY_TIMEOUT", 0.5)
+        with SubprocessOracle(python_child(body), 3) as oracle:
+            with pytest.raises(first) as failure:
+                oracle.evaluate_many([0b001, 0b010, 0b100])
+            monkeypatch.setattr(sampling, "_REPLY_TIMEOUT", 5.0)
+            start = time.monotonic()
+            with pytest.raises(OracleFailure) as later:
+                oracle.evaluate(0b011)
+            assert time.monotonic() - start < 1
+            assert str(failure.value) in str(later.value)
+
+    def test_completion_in_flight_fails_with_the_session(self, deadline):
+        child = python_child("for line in sys.stdin:\n    print('abc')\n")
+        with SubprocessOracle(child, 3) as oracle:
+            complete_first = oracle._ask([0b001])
+            complete_second = oracle._ask([0b010])
+            with pytest.raises(ProtocolViolation, match="to query 100"):
+                complete_first()
+            with pytest.raises(OracleFailure, match="to query 100"):
+                complete_second()
+            with pytest.raises(OracleFailure, match="to query 100"):
+                oracle._ask([0b100])
+
+
 class TestOverflowingSums:
     """Finite replies whose sums overflow must not come back as nan or inf."""
 
