@@ -104,9 +104,18 @@ def dhondt(votes: Sequence[int], seats: int) -> IntVector:
 
 
 def _dhondt(votes: Sequence[int], seats: int) -> IntVector:
-    """``dhondt`` on votes and a seat count already checked by ``Region``."""
-    alloc = [0] * len(votes)
-    for _ in range(seats):
+    """``dhondt`` on votes and a seat count already checked by ``Region``.
+
+    Each party starts at its lower quota, votes * seats // total, which
+    D'Hondt always grants (Balinski and Young, *Fair Representation*): every
+    quotient of at least total / seats is among the winning ones, and there
+    are at most seats of them, so ties cannot push one out.  The fewer than
+    len(votes) seats left are handed out one at a time, so the cost does not
+    grow with the seat count.
+    """
+    total = sum(votes)
+    alloc = [v * seats // total for v in votes]
+    for _ in range(seats - sum(alloc)):
         best = 0
         for i in range(1, len(votes)):
             # votes[i] / (alloc[i] + 1) against the best quotient so far

@@ -8,10 +8,12 @@ an actual assignment of objects to owners via bipartite matching: one
 player-node copy per guaranteed unit, all matched, then one extra copy per
 player in remainder order, kept only if an augmenting path exists.  Every
 augmenting path comes from one iterative breadth-first search over
-players.  The resulting count vector matches the exact indivisible Shapley
-value of the induced game without ever building the full table; which
-owner gets each object is deterministic, but only the counts are the
-contract.
+players.  A matched object is never freed again (a path only passes
+objects on between copies), so each player's search resumes at its first
+free object instead of rescanning the ones before it.  The resulting count
+vector matches the exact indivisible Shapley value of the induced game
+without ever building the full table; which owner gets each object is
+deterministic, but only the counts are the contract.
 """
 
 from __future__ import annotations
@@ -90,7 +92,10 @@ class MatchingGraph:
     the objects, adjacent to every copy of every owner.  Augmenting paths
     are found breadth-first over players, each scanning its objects in
     ascending order, so a path is one with the fewest players and
-    matchings are reproducible.
+    matchings are reproducible.  A matched object never becomes free
+    again, so each player keeps the index of its first free object, which
+    only moves forward; a player with a free object takes it at once, the
+    same object the full scan would reach first.
     """
 
     def __init__(self, object_owners: Sequence[int]):
@@ -105,6 +110,8 @@ class MatchingGraph:
         self.match_of_copy: list[int] = []
         self.match_of_object: list[int] = [_FREE] * len(object_owners)
         self._dead: set[int] = set()  # players no augmenting path can enter
+        # per player, the index in its object list before which every object is held
+        self._first_free: dict[int, int] = {}
 
     @property
     def objects(self) -> int:
@@ -163,19 +170,25 @@ class MatchingGraph:
             return False
         match = self.match_of_object
         via: dict[int, tuple[int, int] | None] = {start: None}
+        first_free = self._first_free
         queue = [start]
         for player in queue:
-            for obj in self._player_objects.get(player, ()):
-                holder = match[obj]
-                if holder == _FREE:
-                    # walk back, moving each copy on the path to the object ahead of it
-                    while player != start:
-                        held, player = via[player]
-                        self._pair(match[held], obj)
-                        obj = held
-                    self._pair(root, obj)
-                    return True
-                other = self.copy_player[holder]
+            objs = self._player_objects.get(player, ())
+            k = first_free.get(player, 0)
+            while k < len(objs) and match[objs[k]] != _FREE:
+                k += 1
+            first_free[player] = k
+            if k < len(objs):
+                # walk back, moving each copy on the path to the object ahead of it
+                obj = objs[k]
+                while player != start:
+                    held, player = via[player]
+                    self._pair(match[held], obj)
+                    obj = held
+                self._pair(root, obj)
+                return True
+            for obj in objs:
+                other = self.copy_player[match[obj]]
                 if other not in via and other not in self._dead:
                     via[other] = (obj, player)
                     queue.append(other)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,6 +18,22 @@ from indivisible import Game, OwnerList, coalition, make_game, members
 from indivisible.errors import ParseError
 from indivisible.formats import _parse_fraction, _read_header
 from indivisible.games import MAX_TABLE_PLAYERS, RationalTable, _check_player_count
+
+
+@contextmanager
+def within(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+
+    def past_deadline(signum, frame):
+        raise TimeoutError(f"the call did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, past_deadline)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def dividends_recursive(g: Game) -> list[Fraction]:

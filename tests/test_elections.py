@@ -148,6 +148,36 @@ class TestDhondt:
             seats = rng.randint(1, 12)
             assert dhondt(votes, seats) == dhondt_reference(votes, seats)
 
+    def test_matches_quotient_enumeration_at_many_seats(self):
+        # far more seats than parties, so most seats come from the lower quota
+        cases = [
+            ((40, 40, 40, 40), 200),  # equal totals, whole quotas
+            ((40, 40, 40, 40), 203),  # equal totals, the rest decided by index
+            ((0, 120, 0, 45, 0), 97),  # zero-vote parties
+            ((5, 10, 20, 40, 15, 30), 240),  # multiples: quotients tie across parties
+            ((3, 6, 9, 12, 18, 36, 2, 4), 399),
+            ((90,), 50),  # a single party
+            ((0, 0, 77, 0), 400),  # one party holds every vote
+        ]
+        rng = random.Random(521)
+        for _ in range(30):
+            m = rng.randint(2, 8)
+            unit = rng.randint(1, 9)
+            kind = rng.randrange(4)
+            if kind == 0:
+                votes = [unit * 7] * m
+            elif kind == 1:
+                votes = [rng.choice((0, 0, rng.randint(1, 500))) for _ in range(m)]
+            elif kind == 2:
+                votes = [unit * rng.randint(1, 6) for _ in range(m)]
+            else:
+                votes = [rng.randint(0, 1000) for _ in range(m)]
+            if not any(votes):
+                votes[rng.randrange(m)] = unit
+            cases.append((tuple(votes), rng.randint(50, 400)))
+        for votes, seats in cases:
+            assert dhondt(votes, seats) == dhondt_reference(votes, seats)
+
     def test_house_monotone(self):
         rng = random.Random(509)
         for _ in range(20):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -33,9 +34,24 @@ from oracles import (
     random_owner_list,
     sized_owner_list,
     two_goods_game,
+    within,
 )
 
 F = Fraction
+
+
+def assert_owner_quotas(ol, allocation):
+    """Each object goes to an owner, the counts tally the assignment, and each
+    count is within the floor and ceiling of the player's Shapley value."""
+    sv = shapley_from_owners(ol)
+    tally = [0] * ol.n
+    for obj, player in enumerate(allocation.assignment):
+        assert ol.owners[obj] >> player & 1
+        tally[player] += 1
+    assert list(allocation.counts) == tally
+    assert len(allocation.assignment) == len(ol.owners)
+    for i in range(ol.n):
+        assert math.floor(sv[i]) <= allocation.counts[i] <= math.ceil(sv[i])
 
 
 class TestOwnerList:
@@ -269,15 +285,20 @@ class TestScale:
     def test_200_players_5000_objects(self):
         ol = sized_owner_list(random.Random(449), 200, 5000)
         allocation = isv_allocation(ol)
-        sv = shapley_from_owners(ol)
-        tally = [0] * ol.n
-        for obj, player in enumerate(allocation.assignment):
-            assert ol.owners[obj] >> player & 1
-            tally[player] += 1
-        assert list(allocation.counts) == tally
-        assert sum(allocation.counts) == 5000
-        for i in range(ol.n):
-            assert math.floor(sv[i]) <= allocation.counts[i] <= math.ceil(sv[i])
+        assert_owner_quotas(ol, allocation)
+
+    def test_200_players_5000_objects_assignment_is_pinned(self):
+        # the CLI prints the assignment, so a change of path order changes output
+        ol = sized_owner_list(random.Random(449), 200, 5000)
+        owners = ",".join(map(str, isv_allocation(ol).assignment))
+        assert hashlib.sha256(owners.encode()).hexdigest() == (
+            "0e3b3d6e21101559bdc713dabe7bb8223e3a2de91878080914af6d2589679cc3"
+        )
+
+    def test_2000_players_20000_objects(self):
+        with within(10):
+            ol = sized_owner_list(random.Random(457), 2000, 20000)
+            assert_owner_quotas(ol, isv_allocation(ol))
 
 
 class TestIsvFromDividends:
