@@ -254,6 +254,9 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     except (_CliError, SolverError) as exc:
         err.write(f"error: {exc}\n")
         return 1
+    except MemoryError:
+        err.write("error: out of memory\n")
+        return 1
     out.write(_format(result, args.command, args.format))
     return 0
 

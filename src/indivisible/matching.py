@@ -8,9 +8,11 @@ an actual assignment of objects to owners via bipartite matching: one
 player-node copy per guaranteed unit, all matched, then one extra copy per
 player in remainder order, kept only if an augmenting path exists.  Every
 augmenting path comes from one iterative breadth-first search over
-players.  A matched object is never freed again (a path only passes
-objects on between copies), so each player's search resumes at its first
-free object instead of rescanning the ones before it.  The resulting count
+players, which ends at the first player it reaches that holds a free
+object.  A matched object is never freed again (a path only passes
+objects on between copies), so each player's check resumes at its first
+free object instead of rescanning the ones before it.  Shares, floors and
+remainders are integers over one common scale.  The resulting count
 vector matches the exact indivisible Shapley value of the induced game
 without ever building the full table; which owner gets each object is
 deterministic, but only the counts are the contract.
@@ -42,7 +44,6 @@ from .games import (
     game_from_weights,
     members,
 )
-from .isv import remainder_order
 
 
 @dataclass(frozen=True)
@@ -70,15 +71,23 @@ def game_from_owners(ol: OwnerList, *, max_players: int = MAX_TABLE_PLAYERS) -> 
     return game_from_weights(ol.n, ((s, 1) for s in ol.owners), max_players=max_players)
 
 
-def shapley_from_owners(ol: OwnerList) -> RationalVector:
-    """Closed-form Shapley value: an equal share of each owned object."""
+def _owner_shares(ol: OwnerList) -> tuple[list[int], int]:
+    """Each player's Shapley value as an integer numerator over one scale."""
     # in units of 1 / scale, every share 1/|S| is a whole number
     scale = math.lcm(*{mask.bit_count() for mask in ol.owners})
     nums = [0] * ol.n
     for mask in ol.owners:
         share = scale // mask.bit_count()
-        for i in members(mask):
-            nums[i] += share
+        while mask:
+            low = mask & -mask
+            nums[low.bit_length() - 1] += share
+            mask ^= low
+    return nums, scale
+
+
+def shapley_from_owners(ol: OwnerList) -> RationalVector:
+    """Closed-form Shapley value: an equal share of each owned object."""
+    nums, scale = _owner_shares(ol)
     return tuple(Fraction(x, scale) for x in nums)
 
 
@@ -92,10 +101,11 @@ class MatchingGraph:
     the objects, adjacent to every copy of every owner.  Augmenting paths
     are found breadth-first over players, each scanning its objects in
     ascending order, so a path is one with the fewest players and
-    matchings are reproducible.  A matched object never becomes free
-    again, so each player keeps the index of its first free object, which
-    only moves forward; a player with a free object takes it at once, the
-    same object the full scan would reach first.
+    matchings are reproducible.  Each player is checked for a free object
+    when the search reaches it, and the search ends at the first player
+    that has one.  A matched object never becomes free again, so each
+    player keeps the index of its first free object, which only moves
+    forward; that object is the one a full scan would reach first.
     """
 
     def __init__(self, object_owners: Sequence[int]):
@@ -104,8 +114,12 @@ class MatchingGraph:
         # each player's objects in ascending order, shared by all its copies
         player_objects: dict[int, list[int]] = {}
         for j, owners in enumerate(self._object_owners):
-            for p in members(owners):
-                player_objects.setdefault(p, []).append(j)
+            if not isinstance(owners, int) or owners < 0:
+                members(owners)  # raises PlayerOutOfRange
+            while owners:
+                low = owners & -owners
+                player_objects.setdefault(low.bit_length() - 1, []).append(j)
+                owners ^= low
         self._player_objects = {p: tuple(objs) for p, objs in player_objects.items()}
         self.match_of_copy: list[int] = []
         self.match_of_object: list[int] = [_FREE] * len(object_owners)
@@ -135,8 +149,9 @@ class MatchingGraph:
         """Extend the current matching to maximum cardinality; returns its size.
 
         Runs the breadth-first player search once from each unmatched copy,
-        in id order; a copy that finds no augmenting path then would find
-        none later either.
+        in id order, each search ending at the first player it reaches that
+        holds a free object; a copy that finds no augmenting path then would
+        find none later either.
         """
         for node in range(self.copies):
             if self.match_of_copy[node] == _FREE:
@@ -160,42 +175,58 @@ class MatchingGraph:
             raise InvalidRange(f"copy {node} is already matched")
         return self._augment(node)
 
+    def _free_object(self, player: int) -> int:
+        # moves the player's index past held objects; the object there, if any
+        objs = self._player_objects.get(player, ())
+        match = self.match_of_object
+        k = self._first_free.get(player, 0)
+        while k < len(objs) and match[objs[k]] != _FREE:
+            k += 1
+        self._first_free[player] = k
+        return objs[k] if k < len(objs) else _FREE
+
     def _augment(self, root: int) -> bool:
         # Breadth-first over players, not copies: the copies of one player
         # share its objects, so any of them can pass an object on.  A
         # player is entered through an object one of its copies holds;
-        # via[player] = (that object, the player that takes it).
+        # via[player] = (that object, the player that takes it).  Players
+        # leave the queue in the order they join it and the matching does
+        # not change during a search, so the first player reached with a
+        # free object is the one a check at dequeue time would find first.
         start = self.copy_player[root]
         if start in self._dead:
             return False
         match = self.match_of_object
+        copy_player = self.copy_player
+        dead = self._dead
         via: dict[int, tuple[int, int] | None] = {start: None}
-        first_free = self._first_free
+        player, obj = start, self._free_object(start)
         queue = [start]
-        for player in queue:
-            objs = self._player_objects.get(player, ())
-            k = first_free.get(player, 0)
-            while k < len(objs) and match[objs[k]] != _FREE:
-                k += 1
-            first_free[player] = k
-            if k < len(objs):
-                # walk back, moving each copy on the path to the object ahead of it
-                obj = objs[k]
-                while player != start:
-                    held, player = via[player]
-                    self._pair(match[held], obj)
-                    obj = held
-                self._pair(root, obj)
-                return True
-            for obj in objs:
-                other = self.copy_player[match[obj]]
-                if other not in via and other not in self._dead:
-                    via[other] = (obj, player)
-                    queue.append(other)
-        # Every object these players own is held by one of their copies, and
-        # no augmenting path can change that, so later searches skip them.
-        self._dead.update(via)
-        return False
+        head = 0
+        while obj == _FREE:
+            if head == len(queue):
+                # Every object these players own is held by one of their
+                # copies, and no augmenting path can change that, so later
+                # searches skip them.
+                dead.update(via)
+                return False
+            taker = queue[head]
+            head += 1
+            for held in self._player_objects.get(taker, ()):
+                player = copy_player[match[held]]
+                if player not in via and player not in dead:
+                    via[player] = (held, taker)
+                    obj = self._free_object(player)
+                    if obj != _FREE:
+                        break
+                    queue.append(player)
+        # walk back, moving each copy on the path to the object ahead of it
+        while player != start:
+            held, player = via[player]
+            self._pair(match[held], obj)
+            obj = held
+        self._pair(root, obj)
+        return True
 
     def counts(self, n: int) -> list[int]:
         out = [0] * n
@@ -226,16 +257,17 @@ def isv_allocation(ol: OwnerList) -> AllocationResult:
     Runs in polynomial time in the number of objects and players; the full
     game table is never materialized.
     """
-    sv = shapley_from_owners(ol)
+    nums, scale = _owner_shares(ol)
     graph = MatchingGraph(ol.owners)
-    for i in range(ol.n):
-        for _ in range(math.floor(sv[i])):
+    for i, num in enumerate(nums):
+        for _ in range(num // scale):
             graph.add_copy(i)
     matched = graph.hopcroft_karp()
     if matched != graph.copies:
         raise AssertionError("floor copies admit no perfect matching")
-    for i in remainder_order(sv):
-        if sv[i] > math.floor(sv[i]):
+    # remainder order: largest remainder first, lower index breaking ties
+    for i in sorted(range(ol.n), key=lambda i: (-(nums[i] % scale), i)):
+        if nums[i] % scale:
             graph.augment_from(graph.add_copy(i))
     assignment = graph.assignment()
     return AllocationResult(tuple(assignment), tuple(graph.counts(ol.n)))

@@ -298,6 +298,70 @@ def max_matching_size(copy_players, object_owners) -> int:
     return search(0, 0)
 
 
+def reference_allocation(ol: OwnerList) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Assignment and counts by the plainest augmenting search.
+
+    Shapley shares are summed as fractions; each player gets its floor of
+    copies, in player order, then one more copy per player with a
+    remainder, largest remainder first and lower index breaking ties.
+    Each copy searches breadth first over players from a fresh queue: a
+    player is checked when it is dequeued, by scanning its objects from
+    the lowest, and otherwise queues the holders of its objects in that
+    order.  Copies of one player are interchangeable, so an object
+    records only the player holding it.
+    """
+    objects_of: list[list[int]] = [[] for _ in range(ol.n)]
+    sv = [Fraction(0)] * ol.n
+    for j, mask in enumerate(ol.owners):
+        for i in members(mask):
+            objects_of[i].append(j)
+            sv[i] += Fraction(1, mask.bit_count())
+    holder: list[int | None] = [None] * len(ol.owners)
+
+    def augment(start: int) -> bool:
+        via: dict[int, tuple[int, int] | None] = {start: None}
+        queue = [start]
+        for player in queue:
+            free = [j for j in objects_of[player] if holder[j] is None]
+            if free:
+                obj = free[0]
+                while via[player] is not None:
+                    held, taker = via[player]
+                    holder[obj] = player
+                    obj, player = held, taker
+                holder[obj] = start
+                return True
+            for j in objects_of[player]:
+                if holder[j] not in via:
+                    via[holder[j]] = (j, player)
+                    queue.append(holder[j])
+        return False
+
+    for i in range(ol.n):
+        for _ in range(math.floor(sv[i])):
+            assert augment(i), "floor copies admit no perfect matching"
+    remainders = [i for i in range(ol.n) if sv[i] != math.floor(sv[i])]
+    for i in sorted(remainders, key=lambda i: (math.floor(sv[i]) - sv[i], i)):
+        augment(i)
+    counts = [0] * ol.n
+    for player in holder:
+        counts[player] += 1
+    return tuple(holder), tuple(counts)
+
+
+def skewed_owner_list(rng: random.Random, n: int, objects: int) -> OwnerList:
+    """``objects`` objects of one to three owners, four in five of them
+    drawn from a random prefix of the players, so that many remainder
+    searches find no path."""
+    few = rng.randint(1, n)
+    owners = []
+    for _ in range(objects):
+        pool = range(few) if rng.random() < 0.8 else range(n)
+        size = rng.randint(1, min(3, len(pool)))
+        owners.append(coalition(rng.sample(pool, size)))
+    return OwnerList(n, tuple(owners))
+
+
 def floor_half_game() -> Game:
     """Four players; every coalition is worth half its size, rounded down."""
     return make_game(4, [(m, Fraction(m.bit_count() // 2)) for m in range(1, 16)])

@@ -324,6 +324,29 @@ class TestExitCodes:
         assert res.stderr.startswith("oracle error: malformed oracle reply")
         assert res.stdout == ""
 
+    def test_out_of_memory_is_one(self):
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no address-space limit on this platform")
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+
+        def limit_address_space():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+        # one permutation's 200000 prefix masks, of up to 200000 bits each, need 2.5 GB
+        res = subprocess.run(
+            [sys.executable, "-m", "indivisible.cli", "sample", "200000"]
+            + ["--oracle", "cat", "--k", "1"],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_address_space,
+            timeout=120,
+        )
+        assert res.returncode == 1
+        assert res.stderr == "error: out of memory\n"
+        assert res.stdout == ""
+
 
 # Small valid inputs of the four file formats, and where each goes on the
 # command line; every mutant of every file runs through all eight commands.

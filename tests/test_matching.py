@@ -17,9 +17,11 @@ from indivisible import (
     isv_from_dividends,
     make_game,
     owner_list,
+    remainder_order,
     shapley_exact,
     shapley_from_owners,
 )
+from indivisible import matching
 from indivisible.errors import (
     DuplicateCoalition,
     EmptySupportCoalition,
@@ -32,7 +34,9 @@ from oracles import (
     FIVE_PLAYER_OWNERS,
     max_matching_size,
     random_owner_list,
+    reference_allocation,
     sized_owner_list,
+    skewed_owner_list,
     two_goods_game,
     within,
 )
@@ -161,6 +165,27 @@ class TestMatchingGraph:
         assert graph.augment_from(graph.add_copy(0))
         assert graph.match_of_object == [0, 1, -1, 3, 2]
 
+    def test_path_found_before_its_finder_ends_its_scan(self):
+        # player 0 reaches player 1, whose objects 0, 1 and 2 are all held;
+        # the holder of object 1 has a free object, so object 2's holder,
+        # still unscanned, never matters
+        graph = MatchingGraph([0b0011, 0b0110, 0b1010, 0b0100, 0b1000])
+        for p in (1, 2, 3):
+            assert graph.augment_from(graph.add_copy(p))
+        assert graph.match_of_object == [0, 1, 2, -1, -1]
+        assert graph.augment_from(graph.add_copy(0))
+        assert graph.match_of_object == [3, 0, 2, 1, -1]
+
+    def test_first_reached_player_with_a_free_object_wins(self):
+        # players 2 and 1 both hold an object of player 0 and both have a
+        # free object; player 2 is reached first, through object 0
+        graph = MatchingGraph([0b101, 0b011, 0b010, 0b100])
+        for p in (1, 2):
+            assert graph.augment_from(graph.add_copy(p))
+        assert graph.match_of_object == [1, 0, -1, -1]
+        assert graph.augment_from(graph.add_copy(0))
+        assert graph.match_of_object == [2, 0, -1, 1]
+
     def test_agrees_with_brute_force_maximum(self):
         rng = random.Random(443)
         failed = failed_again = 0
@@ -234,6 +259,17 @@ class TestIsvAllocation:
             counts = isv_allocation(ol).counts
             assert counts == indivisible_shapley(game_from_owners(ol)).payoffs
 
+    def test_agrees_with_exact_solver_at_16_players(self):
+        # the sizes the docs promise; each game table has up to 2^16 entries
+        rng = random.Random(467)
+        with within(30):
+            for _ in range(24):
+                n, objects = rng.randint(14, 16), rng.randint(50, 3000)
+                make = skewed_owner_list if rng.random() < 0.5 else sized_owner_list
+                ol = make(rng, n, objects)
+                counts = isv_allocation(ol).counts
+                assert counts == indivisible_shapley(game_from_owners(ol)).payoffs
+
     def test_invariants_on_random_lists(self):
         rng = random.Random(419)
         for _ in range(40):
@@ -246,6 +282,36 @@ class TestIsvAllocation:
             for i in range(ol.n):
                 assert math.floor(sv[i]) <= allocation.counts[i] <= math.ceil(sv[i])
             assert in_core(game_from_owners(ol), allocation.counts)
+
+    def test_agrees_with_reference_search(self):
+        # ownership skewed toward a few players, so many searches fail
+        rng = random.Random(461)
+        for _ in range(300):
+            ol = skewed_owner_list(rng, rng.randint(1, 40), rng.randint(1, 300))
+            allocation = isv_allocation(ol)
+            assert (allocation.assignment, allocation.counts) == reference_allocation(ol)
+
+    def test_remainder_copies_follow_remainder_order(self, monkeypatch):
+        graphs = []
+
+        class Recorded(MatchingGraph):
+            def __init__(self, object_owners):
+                super().__init__(object_owners)
+                graphs.append(self)
+
+            def hopcroft_karp(self):
+                self.floor_copies = self.copies
+                return super().hopcroft_karp()
+
+        monkeypatch.setattr(matching, "MatchingGraph", Recorded)
+        rng = random.Random(463)
+        for _ in range(100):
+            ol = skewed_owner_list(rng, rng.randint(1, 30), rng.randint(1, 100))
+            isv_allocation(ol)
+            graph = graphs.pop()
+            sv = shapley_from_owners(ol)
+            expected = [i for i in remainder_order(sv) if sv[i] != math.floor(sv[i])]
+            assert graph.copy_player[graph.floor_copies :] == expected
 
     def test_deterministic(self):
         ol = random_owner_list(random.Random(421), 5)
