@@ -64,8 +64,6 @@ class Region:
     def __post_init__(self):
         object.__setattr__(self, "seats", _whole(self.seats, "seat count", 1))
         object.__setattr__(self, "votes", _check_votes(self.votes))
-        if not any(self.votes):
-            raise AllZeroVotes("at least one party needs a positive vote total")
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,13 @@ def dhondt(votes: Sequence[int], seats: int) -> IntVector:
     index, so results are reproducible.
     """
     region = Region(seats, tuple(votes))
+    if not any(region.votes):
+        raise AllZeroVotes("at least one party needs a positive vote total")
     return _dhondt(region.votes, region.seats)
 
 
 def _dhondt(votes: Sequence[int], seats: int) -> IntVector:
-    """``dhondt`` on votes and a seat count already checked by ``Region``.
+    """``dhondt`` on votes, not all 0, and a seat count already checked by ``Region``.
 
     Each party starts at its lower quota, votes * seats // total, which
     D'Hondt always grants (Balinski and Young, *Fair Representation*): every
@@ -149,9 +149,11 @@ def coalition_game_from_regions(
         )
     party_mask = coalition(parties)
     checked = []
-    for region, outs in zip(rv.regions, outsiders):
+    for k, (region, outs) in enumerate(zip(rv.regions, outsiders)):
         _check_coalition(party_mask, len(region.votes), "member parties")
         checked.append(_check_votes(outs))
+        if not any(region.votes[p] for p in parties) and not any(checked[-1]):
+            raise AllZeroVotes(f"region {k}: no member party and no outsider has a vote")
     table = [0] * (1 << m)
     for region, outs in zip(rv.regions, checked):
         merged = coalition_sums([region.votes[p] for p in parties])

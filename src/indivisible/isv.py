@@ -11,7 +11,7 @@ reproducible.
 
 For convex integer games the result is the lexicographically maximal
 quota-respecting core vector with respect to that order, which the
-brute-force oracle below checks directly.
+reference below checks by stopping at the first core vector in that order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from operator import sub
 from typing import Sequence
 
@@ -60,10 +60,15 @@ class IsvResult:
     games: tuple[tuple[tuple[int, ...], Game], ...] | None = None
 
 
+def _remainder_order(nums: Sequence[int], den: int) -> tuple[int, ...]:
+    """Players by the remainder of ``nums[i] / den``, largest first, index breaking ties."""
+    return tuple(sorted(range(len(nums)), key=lambda i: (-(nums[i] % den), i)))
+
+
 def remainder_order(sv: Sequence[Fraction]) -> tuple[int, ...]:
     """Players sorted by Shapley remainder, largest first, index breaking ties."""
-    sv = [_as_fraction(s) for s in sv]
-    return tuple(sorted(range(len(sv)), key=lambda i: (-(sv[i] - math.floor(sv[i])), i)))
+    table = RationalTable.of(sv)
+    return _remainder_order(table.nums, table.den)
 
 
 def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
@@ -125,34 +130,28 @@ def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
 
 
 def isv_oracle_convex(g: Game) -> IntVector:
-    """Brute-force reference for convex integer games.
+    """Reference for convex integer games.
 
-    Enumerates every integer vector whose entries are the floor or ceiling
-    of the players' Shapley values, keeps the efficient ones that lie in
-    the core, and returns the lexicographic maximum with respect to the
-    remainder order.  Exponential; intended for small test games only.
+    Tries the efficient floor/ceiling vectors in remainder order,
+    lexicographically largest first, and returns the first one in the core:
+    the lexicographic maximum of the quota-respecting core vectors.  Without
+    one, it tries all of them, exponentially many, before raising
+    ``EmptyFeasibleSet``.
     """
     grand = g.grand_value
     if grand.denominator != 1:
         raise NotIndivisible(
             f"grand coalition must be worth an integer, got {_shown(grand, str)}"
         )
-    sv = shapley_exact(g)
-    order = remainder_order(sv)
-    choices = [sorted({math.floor(s), math.ceil(s)}) for s in sv]
-    best = None
-    best_key = None
-    for cand in product(*choices):
-        if sum(cand) != grand:
-            continue
-        if not in_core(g, cand):
-            continue
-        key = tuple(cand[p] for p in order)
-        if best_key is None or key > best_key:
-            best, best_key = cand, key
-    if best is None:
-        raise EmptyFeasibleSet("no quota-respecting core vector exists")
-    return best
+    sv = RationalTable.of(shapley_exact(g))
+    floors = [x // sv.den for x in sv.nums]
+    fractional = [p for p in _remainder_order(sv.nums, sv.den) if sv.nums[p] % sv.den]
+    # efficiency makes the leftover a whole number from 0 to len(fractional)
+    for ups in combinations(fractional, int(grand) - sum(floors)):
+        cand = [f + (p in ups) for p, f in enumerate(floors)]
+        if in_core(g, cand):
+            return tuple(cand)
+    raise EmptyFeasibleSet("no quota-respecting core vector exists")
 
 
 def lp_distance(x: Sequence[int], sv: Sequence[Fraction], p: int) -> Fraction:

@@ -44,6 +44,7 @@ from .games import (
     game_from_weights,
     members,
 )
+from .isv import _remainder_order
 
 
 @dataclass(frozen=True)
@@ -229,10 +230,15 @@ class MatchingGraph:
         return True
 
     def counts(self, n: int) -> list[int]:
-        out = [0] * n
-        for node, obj in enumerate(self.match_of_copy):
-            if obj != _FREE:
-                out[self.copy_player[node]] += 1
+        """Matched copies per player, for players ``0..n-1``; ``n`` must be a
+        whole number above every matched player."""
+        out = [0] * _whole(n, "player count", 0)
+        try:
+            for node, obj in enumerate(self.match_of_copy):
+                if obj != _FREE:
+                    out[self.copy_player[node]] += 1
+        except IndexError:
+            raise InvalidRange(f"player count {_shown(n)} leaves a matched player out") from None
         return out
 
     def assignment(self) -> list[int]:
@@ -265,8 +271,7 @@ def isv_allocation(ol: OwnerList) -> AllocationResult:
     matched = graph.hopcroft_karp()
     if matched != graph.copies:
         raise AssertionError("floor copies admit no perfect matching")
-    # remainder order: largest remainder first, lower index breaking ties
-    for i in sorted(range(ol.n), key=lambda i: (-(nums[i] % scale), i)):
+    for i in _remainder_order(nums, scale):
         if nums[i] % scale:
             graph.augment_from(graph.add_copy(i))
     assignment = graph.assignment()

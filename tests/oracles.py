@@ -12,12 +12,17 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
-from indivisible import Game, OwnerList, coalition, make_game, members
-from indivisible.errors import ParseError
+from indivisible import Game, OwnerList, coalition, in_core, make_game, members, shapley_exact
+from indivisible.errors import EmptyFeasibleSet, NotIndivisible, ParseError
 from indivisible.formats import _parse_fraction, _read_header
-from indivisible.games import MAX_TABLE_PLAYERS, RationalTable, _check_player_count
+from indivisible.games import (
+    MAX_TABLE_PLAYERS,
+    RationalTable,
+    _check_player_count,
+    game_from_weights,
+)
 
 
 @contextmanager
@@ -102,6 +107,22 @@ def enumerate_integer_core(g: Game) -> list[tuple[int, ...]]:
 
     recurse(0, grand, [])
     return found
+
+
+def isv_by_enumeration(g: Game) -> tuple[int, ...]:
+    """The lexicographic maximum, in remainder order, of the quota-respecting
+    core vectors, found by trying every floor/ceiling vector; raises as
+    ``isv_oracle_convex`` does."""
+    grand = g.grand_value
+    if grand.denominator != 1:
+        raise NotIndivisible(f"grand coalition is worth {grand}")
+    sv = shapley_exact(g)
+    order = sorted(range(g.n), key=lambda i: (-(sv[i] - math.floor(sv[i])), i))
+    choices = [sorted({math.floor(s), math.ceil(s)}) for s in sv]
+    feasible = [x for x in product(*choices) if sum(x) == grand and in_core(g, x)]
+    if not feasible:
+        raise EmptyFeasibleSet("no quota-respecting core vector exists")
+    return max(feasible, key=lambda x: [x[p] for p in order])
 
 
 def _respects_core(g: Game, x) -> bool:
@@ -230,6 +251,19 @@ def random_convex_int_game(rng: random.Random, n: int) -> Game:
         cand = make_game(n, entries)
         if cand.grand_value >= 0:
             return cand
+
+
+def wide_convex_int_game(rng: random.Random, n: int) -> Game:
+    """Convex integer game built in O(n 2^n), fast enough for 20 players:
+    nonnegative integer dividends plus ``c * max(0, |S| - k)``, a convex
+    function of the size whose dividends are partly negative."""
+    dividends = [
+        (coalition(rng.sample(range(n), rng.randint(1, n))), rng.randint(1, 3))
+        for _ in range(2 * n)
+    ]
+    base = game_from_weights(n, dividends).values.nums
+    c, k = rng.randint(1, 3), rng.randint(1, n)
+    return Game(n, RationalTable(v + c * max(0, s.bit_count() - k) for s, v in enumerate(base)))
 
 
 def random_sizebounded_convex_int_game(rng: random.Random, n: int) -> Game:

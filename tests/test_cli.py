@@ -153,6 +153,21 @@ class TestElectionCommands:
         assert res.returncode == 0
         assert res.stdout.splitlines()[-1] == "total 2"
 
+    def test_coalition_region_without_member_votes(self, tmp_path):
+        # the first region is worth 0 seats to every coalition
+        path = tmp_path / "regions.txt"
+        path.write_text("parties 2 A B\nregion 2 0 0 | 5 3\nregion 3 4 1 | 2\n")
+        res = run_cli("coalition", str(path))
+        assert res.returncode == 0
+        assert res.stdout.splitlines() == ["player 0 2", "player 1 0", "total 2"]
+
+    def test_coalition_region_without_any_votes(self, tmp_path):
+        path = tmp_path / "regions.txt"
+        path.write_text("parties 2 A B\nregion 2 0 0\nregion 3 4 1 | 2\n")
+        res = run_cli("coalition", str(path))
+        assert (res.returncode, res.stdout) == (1, "")
+        assert "region 0" in res.stderr
+
 
 class TestAllocate:
     def test_allocation_lines(self, tmp_path):

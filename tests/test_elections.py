@@ -218,13 +218,23 @@ class TestCoalitionGame:
             outsiders = []
             for _ in range(rng.randint(1, 3)):
                 votes = tuple(rng.randint(0, 50) for _ in range(m))
-                regions.append(Region(rng.randint(1, 6), votes if any(votes) else (1,) * m))
+                regions.append(Region(rng.randint(1, 6), votes))
                 outsiders.append(tuple(rng.randint(0, 40) for _ in range(rng.randint(0, 2))))
             g = coalition_game_from_regions(RegionalVotes(tuple(regions)), range(m), outsiders)
             for mask in range(1 << m):
                 for i in range(m):
                     if not mask >> i & 1:
                         assert g.values[mask] <= g.values[mask | (1 << i)]
+
+    def test_region_without_member_votes_is_worth_nothing(self):
+        rv = RegionalVotes((Region(2, (0, 0)), Region(3, (4, 1))))
+        g = coalition_game_from_regions(rv, (0, 1), [(5, 3), (2,)])
+        assert list(g.values) == [0, 2, 1, 2]
+
+    def test_region_without_any_votes_rejected(self):
+        rv = RegionalVotes((Region(2, (0, 0, 7)),))
+        with pytest.raises(AllZeroVotes):
+            coalition_game_from_regions(rv, (0, 1), [(0,)])
 
     def test_pooling_gains_seats(self):
         # two regions where separate lists waste votes against a large rival

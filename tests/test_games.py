@@ -575,6 +575,12 @@ def _graph_with_copy():
     return graph
 
 
+def _matched_copy_of_2():
+    graph = MatchingGraph([0b100])
+    graph.augment_from(graph.add_copy(2))
+    return graph
+
+
 # Each call must raise its error promptly: no hang, no silent wrong answer,
 # no bare TypeError/ValueError/IndexError.
 GUARANTEES = {
@@ -667,6 +673,10 @@ GUARANTEES = {
         InvalidRange,
     ),
     "MatchingGraph augment_from -1": (lambda: _graph_with_copy().augment_from(-1), InvalidRange),
+    "MatchingGraph counts 0": (lambda: _matched_copy_of_2().counts(0), InvalidRange),
+    "MatchingGraph counts 2": (lambda: _matched_copy_of_2().counts(2), InvalidRange),
+    "MatchingGraph counts -1": (lambda: _matched_copy_of_2().counts(-1), InvalidRange),
+    "MatchingGraph counts 2.5": (lambda: _matched_copy_of_2().counts(2.5), InvalidRange),
     "coalition [10**400]": (lambda: coalition([10**400]), PlayerOutOfRange),
     "Game n=10**400": (lambda: Game(10**400, (0,)), LengthMismatch),
     "FunctionOracle evaluate 99": (
@@ -697,8 +707,9 @@ GUARANTEES = {
 
 # Public names that no row above (nor in BAD_NUMBERS) calls, each with the reason.
 # Calls that legitimately ask for unbounded work have no row either: isv_large
-# with a total of 10**9, lp_distance with a huge exponent, harmonic_tail(1, 10**9)
-# and SamplerConfig with about 10**11 samples.
+# with a total of 10**9, lp_distance with a huge exponent, harmonic_tail(1, 10**9),
+# SamplerConfig with about 10**11 samples, and isv_oracle_convex on a game with no
+# quota-respecting core vector, where it tries every round-up set.
 NO_ROW = {
     "MAX_TABLE_PLAYERS": "a constant",
     "AllocationResult": "a result record",

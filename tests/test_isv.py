@@ -7,8 +7,10 @@ import pytest
 from indivisible import (
     coalition,
     game_linear,
+    harsanyi_dividends,
     in_core,
     indivisible_shapley,
+    is_convex,
     isv_oracle_convex,
     lp_distance,
     make_game,
@@ -16,13 +18,18 @@ from indivisible import (
     shapley_exact,
     unanimity_game,
 )
-from indivisible.errors import EmptyFeasibleSet, LengthMismatch, NotIndivisible
+from indivisible.errors import EmptyFeasibleSet, LengthMismatch, NotIndivisible, SolverError
 
 from oracles import (
     floor_half_game,
+    isv_by_enumeration,
     random_convex_int_game,
     random_fractional_game,
+    random_game,
+    random_positive_int_game,
     two_goods_game,
+    wide_convex_int_game,
+    within,
 )
 
 F = Fraction
@@ -171,6 +178,36 @@ class TestOracle:
     def test_empty_feasible_set(self):
         with pytest.raises(EmptyFeasibleSet):
             isv_oracle_convex(floor_half_game())
+
+    def test_matches_enumeration(self):
+        rng = random.Random(113)
+        makers = (
+            random_convex_int_game, random_positive_int_game, random_game, random_fractional_game
+        )
+        errors = set()
+        for k in range(320):
+            g = makers[k % len(makers)](rng, rng.randint(1, 7))
+            try:
+                expected = isv_by_enumeration(g)
+            except SolverError as exc:
+                errors.add(type(exc))
+                with pytest.raises(type(exc)):
+                    isv_oracle_convex(g)
+            else:
+                assert isv_oracle_convex(g) == expected
+        assert errors == {EmptyFeasibleSet, NotIndivisible}
+
+    def test_wide_convex_games_are_convex_with_negative_dividends(self):
+        rng = random.Random(127)
+        games = [wide_convex_int_game(rng, n) for n in range(2, 8) for _ in range(5)]
+        assert all(is_convex(g) for g in games)
+        assert any(min(harsanyi_dividends(g).nums) < 0 for g in games)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_matches_solver_at_table_cap(self, n):
+        with within(30):
+            g = wide_convex_int_game(random.Random(n), n)
+            assert indivisible_shapley(g).payoffs == isv_oracle_convex(g)
 
 
 class TestLpDistance:

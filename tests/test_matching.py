@@ -270,6 +270,13 @@ class TestIsvAllocation:
                 counts = isv_allocation(ol).counts
                 assert counts == indivisible_shapley(game_from_owners(ol)).payoffs
 
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_agrees_with_exact_solver_at_table_cap(self, n):
+        ol = sized_owner_list(random.Random(n), n, 2000)
+        with within(30):
+            counts = isv_allocation(ol).counts
+            assert counts == indivisible_shapley(game_from_owners(ol)).payoffs
+
     def test_invariants_on_random_lists(self):
         rng = random.Random(419)
         for _ in range(40):
