@@ -148,6 +148,9 @@ def coalition_game_from_regions(
             f"{len(outsiders)} outsider lists for {len(rv.regions)} regions"
         )
     party_mask = coalition(parties)
+    if party_mask.bit_count() != m:
+        repeated = next(p for k, p in enumerate(parties) if p in parties[:k])
+        raise InvalidRange(f"member party {repeated} is listed more than once")
     checked = []
     for k, (region, outs) in enumerate(zip(rv.regions, outsiders)):
         _check_coalition(party_mask, len(region.votes), "member parties")

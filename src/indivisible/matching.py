@@ -115,8 +115,9 @@ class MatchingGraph:
         # each player's objects in ascending order, shared by all its copies
         player_objects: dict[int, list[int]] = {}
         for j, owners in enumerate(self._object_owners):
-            if not isinstance(owners, int) or owners < 0:
-                members(owners)  # raises PlayerOutOfRange
+            if not isinstance(owners, int) or owners <= 0:
+                members(owners)  # raises PlayerOutOfRange unless there is no owner
+                raise EmptySupportCoalition(f"object {j} has no owner")
             while owners:
                 low = owners & -owners
                 player_objects.setdefault(low.bit_length() - 1, []).append(j)
@@ -242,11 +243,11 @@ class MatchingGraph:
         return out
 
     def assignment(self) -> list[int]:
-        """Owner of each object; raises if any object is unmatched."""
+        """Owner of each object; raises ``InvalidRange`` if any object is unmatched."""
         out = []
         for obj, node in enumerate(self.match_of_object):
             if node == _FREE:
-                raise AssertionError(f"object {obj} left unallocated")
+                raise InvalidRange(f"object {obj} left unallocated")
             out.append(self.copy_player[node])
         return out
 

@@ -19,12 +19,11 @@ of about ``_RUN_MASKS`` planned coalitions and hands each run's plan to
 the memo, which drops hits, duplicates and coalitions already asked, and
 asks the wrapped oracle for the rest in one batch.  It asks for run
 ``r + 1`` before it sums run ``r``, so a child-process oracle answers the
-next run while this process sums the last one.  The sum then reads each
-value straight from the memo, in the same order as before, so neither the
-plans nor the runs change an estimate.  Once the memo holds all ``2**n``
-coalitions, planning stops.  ``large.select_top_k`` takes the Shapley
-estimate and the synergy matrix from one pass, so it samples each
-permutation once.
+next run while this process sums the last one.  The memo gives back the
+plan's values in plan order, and the sum reads them in that order, so
+neither the plans nor the runs change an estimate.  ``large.select_top_k``
+takes the Shapley estimate and the synergy matrix from one pass, so it
+samples each permutation once.
 """
 
 from __future__ import annotations
@@ -153,7 +152,14 @@ class FunctionOracle(ValueOracle):
 
 
 class MemoOracle(ValueOracle):
-    """Cached view of another oracle; the cache starts over at ``_MEMO_SIZE``."""
+    """Cached view of another oracle.
+
+    ``_ask`` is the one place that asks the wrapped oracle, checks and
+    caches its values and clears the cache, which it does at an ask once
+    the cache holds ``_MEMO_SIZE`` coalitions.  A completion reads its
+    values from the cache, so a caller completes its earlier asks before
+    it asks a full cache: no completion is due when the cache is cleared.
+    """
 
     def __init__(self, oracle: ValueOracle):
         self.n = oracle.n
@@ -162,28 +168,27 @@ class MemoOracle(ValueOracle):
         self._flight: set[int] = set()  # asked of the wrapped oracle, not cached yet
 
     def evaluate(self, mask: int) -> float:
-        value = self._memo.get(mask)  # oracle values are floats, never None
-        if value is None:
-            _check_coalition(mask, self.n, "coalition")
-            if len(self._memo) >= _MEMO_SIZE:
-                self._memo.clear()
-            value = self._memo[mask] = _checked([mask], [self._oracle.evaluate(mask)])[0]
-        return value
+        _check_coalition(mask, self.n, "coalition")
+        return self._ask([mask])()[0]
 
     def _ask(self, masks: Sequence[int]) -> Callable[[], list]:
         """Ask the wrapped oracle, in one batch, for each of ``masks`` that is
         neither cached nor in flight yet, each mask once.  The completion
-        checks and caches their values."""
+        checks and caches their values and gives the values of ``masks``,
+        in order."""
         memo, flight = self._memo, self._flight
-        missing = [m for m in dict.fromkeys(masks) if m not in memo and m not in flight]
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        unseen = dict.fromkeys([m for m in masks if m not in memo])
+        missing = [m for m in unseen if m not in flight]
         if missing:
             complete = self._oracle._ask(missing)
             flight.update(missing)
 
         def cache() -> list[float]:
             if missing:
+                flight.difference_update(missing)  # answered or failed, no longer asked
                 memo.update(zip(missing, _checked(missing, complete())))
-                flight.difference_update(missing)
             return list(map(memo.__getitem__, masks))
 
         return cache
@@ -422,24 +427,24 @@ def _validate(cfg: SamplerConfig, n: int) -> None:
 def _sums(
     oracle: ValueOracle, cfg: SamplerConfig, size: int, plan: Callable, add: Callable
 ) -> tuple[list[float], int]:
-    """Sum ``add(perm, ev, part)`` over the configured permutations.
+    """Sum ``add(perm, values, part)`` over the configured permutations.
 
-    ``plan(perm)`` lists every coalition that ``add`` evaluates for
-    ``perm``.  Each chunk's permutations go in runs that plan about
+    ``plan(perm)`` lists every coalition that ``add`` reads for ``perm``,
+    in the order it reads them; ``values`` is an iterator over the values
+    of a run's plans, and ``add`` takes the values of ``perm``'s plan off
+    its front.  Each chunk's permutations go in runs that plan about
     ``_RUN_MASKS`` coalitions; the memo is asked for run ``r + 1`` before
-    run ``r`` is summed, and caches a run before it is summed, so ``ev``
-    is a plain lookup in the memo's dict.  The memo starts over only with
-    no run in flight, so it may overrun ``_MEMO_SIZE`` by one run's plan.
-    Returns ``size`` flat totals and the permutation count.  Each chunk of
-    ``_CHUNK`` permutations is summed into its own partial, and partials
-    are merged in chunk order; exhaustive mode is a single chunk.
+    run ``r`` is summed.  Once the memo is full, the run in flight is
+    summed before the next is asked, so the memo can start over; it may
+    overrun ``_MEMO_SIZE`` by one run's plan.  Returns ``size`` flat
+    totals and the permutation count.  Each chunk of ``_CHUNK``
+    permutations is summed into its own partial, and partials are merged
+    in chunk order; exhaustive mode is a single chunk.
     """
     n = oracle.n
     _validate(cfg, n)
     memo = memoized(oracle)
     cached, flight = memo._memo, memo._flight
-    ev = cached.__getitem__
-    everything = 1 << n
     if cfg.exhaustive:
         count = math.factorial(n)
         chunks = [permutations(range(n))]
@@ -460,28 +465,25 @@ def _sums(
             masks: list[int] = []
             for perm in chunk:
                 perms.append(perm)
-                if len(cached) + len(flight) < everything:
-                    masks += plan(perm)
-                if len(masks) >= _RUN_MASKS or len(perms) >= _RUN_MASKS:
+                masks += plan(perm)
+                if len(masks) >= _RUN_MASKS:
                     yield perms, masks, part, False
                     perms, masks = [], []
             yield perms, masks, part, True
 
     def finish(perms, part, last, complete) -> None:
-        complete()
+        values = iter(complete())
         for perm in perms:
-            add(perm, ev, part)
+            add(perm, values, part)
         if last:
             total[:] = [a + b for a, b in zip(total, part)]
 
     pending = None  # the run asked last and not summed yet
     try:
         for perms, masks, part, last in runs():
-            if masks and len(cached) + len(flight) >= _MEMO_SIZE:
-                if pending:
-                    finish(*pending)
-                    pending = None
-                cached.clear()
+            if pending and len(cached) + len(flight) >= _MEMO_SIZE:
+                finish(*pending)
+                pending = None
             complete = memo._ask(masks)
             if pending:
                 finish(*pending)
@@ -499,12 +501,9 @@ def _prefixes(perm: Sequence[int]) -> list[int]:
     return list(accumulate([1 << i for i in perm], or_))
 
 
-def _marginals(perm: Sequence[int], ev, out: list[float]) -> None:
-    prefix = 0
+def _marginals(perm: Sequence[int], values, out: list[float]) -> None:
     prev = 0.0
-    for i in perm:
-        prefix |= 1 << i
-        cur = ev(prefix)
+    for i, cur in zip(perm, values):  # perm ends the zip before it takes a value
         out[i] += cur - prev
         prev = cur
 
@@ -547,11 +546,11 @@ def _shapley_and_matrix(
             prefix |= bit
         return masks
 
-    def add(perm: Sequence[int], ev, acc: list[float]) -> None:
+    def add(perm: Sequence[int], values, acc: list[float]) -> None:
         prefix = 0
         prev = 0.0
         for i in perm:
-            cur = ev(prefix | (1 << i))
+            cur = next(values)
             base = cur - prev
             acc[phi_at + i] += base
             rest = prefix >> (i + 1) << (i + 1)  # the predecessors j > i
@@ -561,8 +560,7 @@ def _shapley_and_matrix(
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    without_j = prefix ^ low
-                    second = base - ev(without_j | (1 << i)) + ev(without_j)
+                    second = base - next(values) + next(values)  # v(S-j+i), then v(S-j)
                     acc[row + low.bit_length()] += second * h
             prefix |= 1 << i
             prev = cur

@@ -607,6 +607,12 @@ GUARANTEES = {
         lambda: coalition_game_from_regions(RegionalVotes((Region(2, (3, 4)),)), (0, 1.5), [()]),
         PlayerOutOfRange,
     ),
+    "member party 0 twice": (
+        lambda: coalition_game_from_regions(
+            RegionalVotes((Region(5, (100, 50)),)), [0, 0], [(60,)]
+        ),
+        InvalidRange,
+    ),
     "dhondt 2.5 seats": (lambda: dhondt([1, 2], 2.5), InvalidRange),
     "SubprocessOracle n=2.5": (lambda: _oracle_query("cat", 2.5), InvalidRange),
     "make_game exponent 300000": (
@@ -664,6 +670,8 @@ GUARANTEES = {
     "members 1.5": (lambda: members(1.5), PlayerOutOfRange),
     "MatchingGraph [1.5]": (lambda: MatchingGraph([1.5]), PlayerOutOfRange),
     "MatchingGraph [None]": (lambda: MatchingGraph([None]), PlayerOutOfRange),
+    "MatchingGraph [0]": (lambda: MatchingGraph([0]), EmptySupportCoalition),
+    "MatchingGraph assignment unmatched": (lambda: MatchingGraph([1]).assignment(), InvalidRange),
     "MatchingGraph augment_from 0 without copies": (
         lambda: MatchingGraph([1]).augment_from(0),
         InvalidRange,

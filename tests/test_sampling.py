@@ -12,6 +12,7 @@ from indivisible import (
     SamplerConfig,
     SubprocessOracle,
     TableOracle,
+    ValueOracle,
     coalition,
     harmonic_tail,
     members,
@@ -313,8 +314,33 @@ class TestMemoization:
         assert oracle.evaluate(0b001) == 1.0
         oracle._ask([0b011, 0b001, 0b011, 0b111])()
         oracle._ask([0b111, 0b001])()
-        assert batches == [[0b011, 0b111]]
+        assert batches == [[0b001], [0b011, 0b111]]
         assert oracle._memo == {0b001: 1.0, 0b011: 2.0, 0b111: 3.0}
+
+    def test_evaluate_through_a_batch_only_oracle(self):
+        class BatchOnly(ValueOracle):
+            n = 3
+
+            def evaluate_many(self, masks):
+                return [float(mask.bit_count()) for mask in masks]
+
+        assert memoized(BatchOnly()).evaluate(0b101) == 2.0
+
+    def test_evaluate_after_a_rejected_value_asks_again(self):
+        answers = iter([float("nan"), 2.0])
+        oracle = memoized(FunctionOracle(3, lambda mask: next(answers)))
+        with pytest.raises(ProtocolViolation):
+            oracle.evaluate(0b101)
+        assert oracle.evaluate(0b101) == 2.0
+        assert not oracle._flight
+
+    def test_full_memo_starts_over_at_the_next_ask(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_MEMO_SIZE", 2)
+        oracle = memoized(FunctionOracle(3, lambda mask: float(mask)))
+        assert [oracle.evaluate(mask) for mask in (0b001, 0b010)] == [1.0, 2.0]
+        assert oracle._memo == {0b001: 1.0, 0b010: 2.0}
+        assert oracle.evaluate(0b001) == 1.0
+        assert oracle._memo == {0b001: 1.0}
 
     def test_estimates_unchanged_by_memo(self):
         g = two_goods_game()
