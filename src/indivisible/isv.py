@@ -9,6 +9,12 @@ index, both when the order is built and in every scan; this is the one
 degree of freedom the construction leaves open and fixing it makes runs
 reproducible.
 
+A unit goes to the first player in that order whose marginal value to the
+working grand coalition is at least 1 (the upper-quota test) or, failing
+that, whose Shapley value in the working game is positive.  The working
+game's Shapley value is computed only once a quota test fails, at most
+once per grant, and reused for the rest of that grant's scan.
+
 For convex integer games the result is the lexicographically maximal
 quota-respecting core vector with respect to that order, which the
 reference below checks by stopping at the first core vector in that order.
@@ -79,7 +85,6 @@ def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
             f"grand coalition must be worth a nonnegative integer, got {_shown(grand, str)}"
         )
     sv = shapley_exact(g)
-    order = remainder_order(sv)
     floors = [math.floor(s) for s in sv]
     trace: list[tuple[str, int, int]] = [(FLOOR, i, floors[i]) for i in range(g.n)]
 
@@ -95,30 +100,31 @@ def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
             cur, _ = reduced_game(cur, alive.index(p), Fraction(0))
             alive.remove(p)
             trace.append((REMOVED, p, 0))
+    order = [p for p in remainder_order(sv) if p in alive]
 
-    # round the remaining table down; a no-op for integer games
+    # round the remaining table down; the table stays integer from here on
     cur = floor_values(cur)
     games_log = [(tuple(alive), cur)] if record_games else None
 
     payoffs = floors
     while cur.grand_value > 0:
-        sv_cur = shapley_exact(cur)
-        nums, den = cur.values.nums, cur.values.den
-        grand_cur = nums[cur.full]
-        pick = -1
+        nums = cur.values.nums
+        sv_cur = None
         for p in order:
-            if p not in alive:
-                continue
             li = alive.index(p)
-            if grand_cur >= nums[cur.full ^ (1 << li)] + den or sv_cur[li] > 0:
-                pick = p
+            if nums[cur.full] > nums[cur.full ^ (1 << li)]:
                 break
-        if pick < 0:  # impossible: Shapley values sum to the positive grand value
+            # the quota test failed: only now is the working game's value read
+            sv_cur = sv_cur or shapley_exact(cur)
+            if sv_cur[li] > 0:
+                break
+        else:  # impossible: Shapley values sum to the positive grand value
             raise AssertionError("no grantable player in a game with positive value")
-        cur, _ = reduced_game(cur, alive.index(pick), Fraction(1))
-        alive.remove(pick)
-        payoffs[pick] += 1
-        trace.append((GRANTED, pick, 1))
+        cur, _ = reduced_game(cur, li, Fraction(1))
+        alive.remove(p)
+        order.remove(p)
+        payoffs[p] += 1
+        trace.append((GRANTED, p, 1))
         if games_log is not None:
             games_log.append((tuple(alive), cur))
 

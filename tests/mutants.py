@@ -1,0 +1,107 @@
+"""Mutant check: each listed mutant of the source must fail the tests named for it.
+
+Run from anywhere with ``python tests/mutants.py``; it needs only the
+standard library and pytest.  The script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, checks that the named tests
+pass there unchanged, then applies one mutant at a time as an exact text
+replacement and runs only that mutant's tests.  It exits 1 if a mutant's
+text no longer matches the source exactly once, or if a mutant's tests
+all pass.  pytest does not collect this file: its name has no ``test_``
+prefix.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ISV = "src/indivisible/isv.py"
+
+# (name, file, original text, mutated text, tests that must fail)
+MUTANTS = [
+    (
+        "a quota failure always skips the player",
+        ISV,
+        "            if sv_cur[li] > 0:\n",
+        "            if False:\n",
+        [
+            "tests/test_isv.py::TestLazyShapley::test_matches_reductions_reference",
+            "tests/test_isv.py::TestLazyShapley::test_fractional_seeds_where_the_shapley_test_rejects",
+        ],
+    ),
+    (
+        "the quota test accepts at equality",
+        ISV,
+        "if nums[cur.full] > nums[cur.full ^ (1 << li)]:",
+        "if nums[cur.full] >= nums[cur.full ^ (1 << li)]:",
+        [
+            "tests/test_isv.py::TestLazyShapley::test_matches_reductions_reference",
+            "tests/test_isv.py::TestIndivisibleShapley::test_two_goods",
+        ],
+    ),
+    (
+        "remainder ties go to the higher index",
+        ISV,
+        "key=lambda i: (-(nums[i] % den), i)",
+        "key=lambda i: (-(nums[i] % den), -i)",
+        [
+            "tests/test_isv.py::TestRemainderOrder::test_all_tied",
+            "tests/test_isv.py::TestIndivisibleShapley::test_pair_tiebreak",
+        ],
+    ),
+]
+
+
+def run_tests(tree: Path, tests: list[str]) -> int:
+    """pytest's exit code for ``tests`` run against ``tree``'s own ``src/``.
+
+    ``-B`` writes no bytecode, so no mutant can be served a cached
+    compile of the source before it.
+    """
+    cmd = [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, stdout=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(ROOT / "src", tree / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", tree / "tests", ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+
+        named = sorted({test for *_, tests in MUTANTS for test in tests})
+        if run_tests(tree, named) != 0:
+            print("the named tests do not pass on the unmutated source")
+            return 1
+
+        for name, rel, old, new, tests in MUTANTS:
+            path = tree / rel
+            source = path.read_text()
+            if source.count(old) != 1:
+                failures.append(name)
+                print(f"STALE    {name}: the text to mutate occurs {source.count(old)} times in {rel}")
+                continue
+            path.write_text(source.replace(old, new))
+            start = time.perf_counter()
+            code = run_tests(tree, tests)
+            path.write_text(source)
+            took = time.perf_counter() - start
+            if code == 1:
+                print(f"killed   {name} ({took:.1f} s)")
+            else:
+                failures.append(name)
+                verdict = "its tests pass" if code == 0 else f"pytest exited {code}"
+                print(f"SURVIVED {name}: {verdict}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

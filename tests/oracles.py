@@ -13,16 +13,32 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
+from operator import sub
 
-from indivisible import Game, OwnerList, coalition, in_core, make_game, members, shapley_exact
+from indivisible import (
+    Game,
+    IsvResult,
+    OwnerList,
+    coalition,
+    in_core,
+    make_game,
+    members,
+    reduced_game,
+    remainder_order,
+    shapley_exact,
+)
 from indivisible.errors import EmptyFeasibleSet, NotIndivisible, ParseError
 from indivisible.formats import _parse_fraction, _read_header
 from indivisible.games import (
     MAX_TABLE_PLAYERS,
     RationalTable,
     _check_player_count,
+    _shown,
+    coalition_sums,
+    floor_values,
     game_from_weights,
 )
+from indivisible.isv import FLOOR, GRANTED, REMOVED
 
 
 @contextmanager
@@ -123,6 +139,67 @@ def isv_by_enumeration(g: Game) -> tuple[int, ...]:
     if not feasible:
         raise EmptyFeasibleSet("no quota-respecting core vector exists")
     return max(feasible, key=lambda x: [x[p] for p in order])
+
+
+def isv_by_reductions(g: Game, *, record_games: bool = False) -> IsvResult:
+    """``indivisible_shapley`` as the paper states it: the working game's
+    whole Shapley vector before every grant, then the first player in
+    remainder order who passes the upper-quota test or has a positive
+    Shapley value."""
+    grand = g.grand_value
+    if grand.denominator != 1 or grand < 0:
+        raise NotIndivisible(
+            f"grand coalition must be worth a nonnegative integer, got {_shown(grand, str)}"
+        )
+    sv = shapley_exact(g)
+    order = remainder_order(sv)
+    floors = [math.floor(s) for s in sv]
+    trace: list[tuple[str, int, int]] = [(FLOOR, i, floors[i]) for i in range(g.n)]
+
+    # subtract the additive floor game pointwise
+    den = g.values.den
+    floor_sums = coalition_sums([f * den for f in floors])
+    cur = Game(g.n, RationalTable(map(sub, g.values.nums, floor_sums), den))
+    alive = list(range(g.n))
+
+    # strip players whose Shapley value was already an integer
+    for p in range(g.n):
+        if sv[p] == floors[p]:
+            cur, _ = reduced_game(cur, alive.index(p), Fraction(0))
+            alive.remove(p)
+            trace.append((REMOVED, p, 0))
+
+    # round the remaining table down; a no-op for integer games
+    cur = floor_values(cur)
+    games_log = [(tuple(alive), cur)] if record_games else None
+
+    payoffs = floors
+    while cur.grand_value > 0:
+        sv_cur = shapley_exact(cur)
+        nums, den = cur.values.nums, cur.values.den
+        grand_cur = nums[cur.full]
+        pick = -1
+        for p in order:
+            if p not in alive:
+                continue
+            li = alive.index(p)
+            if grand_cur >= nums[cur.full ^ (1 << li)] + den or sv_cur[li] > 0:
+                pick = p
+                break
+        if pick < 0:  # impossible: Shapley values sum to the positive grand value
+            raise AssertionError("no grantable player in a game with positive value")
+        cur, _ = reduced_game(cur, alive.index(pick), Fraction(1))
+        alive.remove(pick)
+        payoffs[pick] += 1
+        trace.append((GRANTED, pick, 1))
+        if games_log is not None:
+            games_log.append((tuple(alive), cur))
+
+    return IsvResult(
+        payoffs=tuple(payoffs),
+        trace=tuple(trace),
+        games=tuple(games_log) if games_log is not None else None,
+    )
 
 
 def _respects_core(g: Game, x) -> bool:

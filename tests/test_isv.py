@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import indivisible.isv
 from indivisible import (
     coalition,
     game_linear,
@@ -23,6 +24,7 @@ from indivisible.errors import EmptyFeasibleSet, LengthMismatch, NotIndivisible,
 from oracles import (
     floor_half_game,
     isv_by_enumeration,
+    isv_by_reductions,
     random_convex_int_game,
     random_fractional_game,
     random_game,
@@ -98,6 +100,73 @@ class TestIndivisibleShapley:
         a = indivisible_shapley(g)
         b = indivisible_shapley(g)
         assert a == b and repr(a) == repr(b)
+
+
+class TestLazyShapley:
+    """The solver against the whole-vector-per-grant reference."""
+
+    @staticmethod
+    def counted_calls(monkeypatch, g):
+        calls = []
+        kernel = indivisible.isv.shapley_exact
+
+        def counting(game):
+            calls.append(game.n)
+            return kernel(game)
+
+        monkeypatch.setattr(indivisible.isv, "shapley_exact", counting)
+        result = indivisible_shapley(g)
+        grants = sum(kind == "granted" for kind, _, _ in result.trace)
+        return len(calls), grants, result
+
+    def test_convex_game_needs_no_working_game_value(self, monkeypatch):
+        calls, grants, _ = self.counted_calls(
+            monkeypatch, random_convex_int_game(random.Random(8), 8)
+        )
+        assert grants == 5
+        assert calls == 1
+
+    def test_kernel_called_only_after_a_quota_failure(self, monkeypatch):
+        g = random_fractional_game(random.Random(15), 8)
+        calls, grants, result = self.counted_calls(monkeypatch, g)
+        assert 1 < calls <= 1 + grants
+        # some grant passed over the first player left in remainder order,
+        # so that player failed the quota test and had no positive value
+        left = list(remainder_order(shapley_exact(g)))
+        passed_over = False
+        for kind, player, _ in result.trace[g.n :]:
+            passed_over |= kind == "granted" and player != left[0]
+            left.remove(player)
+        assert passed_over
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            random_game,
+            random_fractional_game,
+            random_convex_int_game,
+            random_positive_int_game,
+            wide_convex_int_game,
+        ],
+    )
+    def test_matches_reductions_reference(self, family):
+        for seed in range(152):
+            g = family(random.Random(seed), 1 + seed % 8)
+            try:
+                expected = isv_by_reductions(g, record_games=True)
+            except SolverError as exc:
+                with pytest.raises(type(exc)) as caught:
+                    indivisible_shapley(g, record_games=True)
+                assert str(caught.value) == str(exc)
+            else:
+                assert indivisible_shapley(g, record_games=True) == expected
+
+    def test_fractional_seeds_where_the_shapley_test_rejects(self):
+        for seed in (15, 20, 27):
+            g = random_fractional_game(random.Random(seed), 8)
+            assert indivisible_shapley(g, record_games=True) == isv_by_reductions(
+                g, record_games=True
+            )
 
 
 class TestConvexProperties:
