@@ -77,13 +77,20 @@ def remainder_order(sv: Sequence[Fraction]) -> tuple[int, ...]:
     return _remainder_order(table.nums, table.den)
 
 
-def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
-    """Integer payoff vector satisfying Efficiency and both quota bounds."""
+def _units(g: Game) -> int:
+    """The grand coalition's value as a count of indivisible units; raises
+    ``NotIndivisible`` unless it is a nonnegative integer."""
     grand = g.grand_value
     if grand.denominator != 1 or grand < 0:
         raise NotIndivisible(
             f"grand coalition must be worth a nonnegative integer, got {_shown(grand, str)}"
         )
+    return int(grand)
+
+
+def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
+    """Integer payoff vector satisfying Efficiency and both quota bounds."""
+    _units(g)
     sv = shapley_exact(g)
     floors = [math.floor(s) for s in sv]
     trace: list[tuple[str, int, int]] = [(FLOOR, i, floors[i]) for i in range(g.n)]
@@ -144,16 +151,12 @@ def isv_oracle_convex(g: Game) -> IntVector:
     one, it tries all of them, exponentially many, before raising
     ``EmptyFeasibleSet``.
     """
-    grand = g.grand_value
-    if grand.denominator != 1:
-        raise NotIndivisible(
-            f"grand coalition must be worth an integer, got {_shown(grand, str)}"
-        )
+    units = _units(g)
     sv = RationalTable.of(shapley_exact(g))
     floors = [x // sv.den for x in sv.nums]
     fractional = [p for p in _remainder_order(sv.nums, sv.den) if sv.nums[p] % sv.den]
     # efficiency makes the leftover a whole number from 0 to len(fractional)
-    for ups in combinations(fractional, int(grand) - sum(floors)):
+    for ups in combinations(fractional, units - sum(floors)):
         cand = [f + (p in ups) for p, f in enumerate(floors)]
         if in_core(g, cand):
             return tuple(cand)

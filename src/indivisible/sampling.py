@@ -14,14 +14,16 @@ bit-identical estimates on every run.
 Both estimators run through one summing loop, ``_sums``; exhaustive mode
 is a single chunk over all ``n!`` permutations.  Each estimator update
 comes in two halves: a query plan, the coalitions one permutation needs,
-and the sum itself.  ``_sums`` groups each chunk's permutations into runs
-of about ``_RUN_MASKS`` planned coalitions and hands each run's plan to
-the memo, which drops hits, duplicates and coalitions already asked, and
-asks the wrapped oracle for the rest in one batch.  It asks for run
-``r + 1`` before it sums run ``r``, so a child-process oracle answers the
-next run while this process sums the last one.  The memo gives back the
-plan's values in plan order, and the sum reads them in that order, so
-neither the plans nor the runs change an estimate.  ``large.select_top_k``
+and the sum itself.  ``_sums`` runs them as two streams over the same
+permutations.  The planner concatenates the plans and cuts them into runs
+of at most ``_RUN_MASKS`` coalitions, which may end inside a permutation;
+it hands each run to the memo, which drops hits, duplicates and
+coalitions already asked, and asks the wrapped oracle for the rest in one
+batch.  It asks for run ``r + 1`` before run ``r`` is read, so a
+child-process oracle answers the next run while this process sums the
+last one.  The memo gives back each run's values in plan order, and the
+summer reads them in that order, so neither the plans nor the runs change
+an estimate.  ``large.select_top_k``
 takes the Shapley estimate and the synergy matrix from one pass, so it
 samples each permutation once.
 """
@@ -37,7 +39,7 @@ import subprocess
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, permutations
+from itertools import accumulate, chain, islice, pairwise, permutations, tee
 from operator import or_
 from typing import Callable, Sequence
 
@@ -53,7 +55,7 @@ from .games import Game, _check_coalition, _shown, _whole
 
 _CHUNK = 2048  # permutations per accumulation chunk; fixed for determinism
 _MEMO_SIZE = 1 << 20  # coalitions kept by MemoOracle
-_RUN_MASKS = 1 << 11  # coalitions planned per run of permutations
+_RUN_MASKS = 1 << 11  # the most coalitions asked of the memo at once
 _MASK64 = (1 << 64) - 1
 _EXHAUSTIVE_CAP = 9
 _DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
@@ -155,10 +157,11 @@ class MemoOracle(ValueOracle):
     """Cached view of another oracle.
 
     ``_ask`` is the one place that asks the wrapped oracle, checks and
-    caches its values and clears the cache, which it does at an ask once
-    the cache holds ``_MEMO_SIZE`` coalitions.  A completion reads its
-    values from the cache, so a caller completes its earlier asks before
-    it asks a full cache: no completion is due when the cache is cleared.
+    caches its values and starts the cache over, which it does at an ask
+    once the cached and in-flight coalitions together number
+    ``_MEMO_SIZE``.  Each completion reads the cache it was asked against,
+    so completions still due when the cache starts over give their values
+    as before.
     """
 
     def __init__(self, oracle: ValueOracle):
@@ -176,9 +179,9 @@ class MemoOracle(ValueOracle):
         neither cached nor in flight yet, each mask once.  The completion
         checks and caches their values and gives the values of ``masks``,
         in order."""
+        if len(self._memo) + len(self._flight) >= _MEMO_SIZE:
+            self._memo, self._flight = {}, set()
         memo, flight = self._memo, self._flight
-        if len(memo) >= _MEMO_SIZE:
-            memo.clear()
         unseen = dict.fromkeys([m for m in masks if m not in memo])
         missing = [m for m in unseen if m not in flight]
         if missing:
@@ -431,12 +434,12 @@ def _sums(
 
     ``plan(perm)`` lists every coalition that ``add`` reads for ``perm``,
     in the order it reads them; ``values`` is an iterator over the values
-    of a run's plans, and ``add`` takes the values of ``perm``'s plan off
-    its front.  Each chunk's permutations go in runs that plan about
-    ``_RUN_MASKS`` coalitions; the memo is asked for run ``r + 1`` before
-    run ``r`` is summed.  Once the memo is full, the run in flight is
-    summed before the next is asked, so the memo can start over; it may
-    overrun ``_MEMO_SIZE`` by one run's plan.  Returns ``size`` flat
+    of all the plans, in order, and ``add`` takes the values of ``perm``'s
+    plan off its front.  Two streams share the permutations: the planner
+    concatenates the plans and asks the memo for them in runs of at most
+    ``_RUN_MASKS`` coalitions, which may end inside a permutation, and
+    asks for run ``r + 1`` before run ``r``'s completion is called; the
+    summer reads the completions' values in order.  Returns ``size`` flat
     totals and the permutation count.  Each chunk of ``_CHUNK``
     permutations is summed into its own partial, and partials are merged
     in chunk order; exhaustive mode is a single chunk.
@@ -444,53 +447,38 @@ def _sums(
     n = oracle.n
     _validate(cfg, n)
     memo = memoized(oracle)
-    cached, flight = memo._memo, memo._flight
     if cfg.exhaustive:
-        count = math.factorial(n)
-        chunks = [permutations(range(n))]
+        count = chunk = math.factorial(n)
+        perms = permutations(range(n))
     else:
-        count = cfg.samples
-        chunks = (
-            (_permutation(n, cfg.seed, t) for t in range(start, min(start + _CHUNK, count)))
-            for start in range(0, count, _CHUNK)
-        )
+        count, chunk = cfg.samples, _CHUNK
+        perms = (_permutation(n, cfg.seed, t) for t in range(count))
+    ahead, behind = tee(perms)
+
+    def asks():
+        """The completions of the plans of ``ahead``, cut into runs."""
+        run: list[int] = []
+        for perm in ahead:
+            masks = plan(perm)
+            start, end = 0, _RUN_MASKS - len(run)
+            while end <= len(masks):
+                yield memo._ask(run + masks[start:end])
+                run, start, end = [], end, end + _RUN_MASKS
+            run += masks[start:]
+        if run:
+            yield memo._ask(run)
+
+    # pairwise asks for run r + 1 before it hands out run r's completion
+    values = chain.from_iterable(complete() for complete, _ in pairwise(chain(asks(), [None])))
     total = [0.0] * size
-
-    def runs():
-        """Each run: its permutations and plan, its chunk's partial, and
-        whether it ends the chunk."""
-        for chunk in chunks:
-            part = [0.0] * size
-            perms: list = []
-            masks: list[int] = []
-            for perm in chunk:
-                perms.append(perm)
-                masks += plan(perm)
-                if len(masks) >= _RUN_MASKS:
-                    yield perms, masks, part, False
-                    perms, masks = [], []
-            yield perms, masks, part, True
-
-    def finish(perms, part, last, complete) -> None:
-        values = iter(complete())
-        for perm in perms:
-            add(perm, values, part)
-        if last:
-            total[:] = [a + b for a, b in zip(total, part)]
-
-    pending = None  # the run asked last and not summed yet
     try:
-        for perms, masks, part, last in runs():
-            if pending and len(cached) + len(flight) >= _MEMO_SIZE:
-                finish(*pending)
-                pending = None
-            complete = memo._ask(masks)
-            if pending:
-                finish(*pending)
-            pending = perms, part, last, complete
-        finish(*pending)
+        for _ in range(0, count, chunk):
+            part = [0.0] * size
+            for perm in islice(behind, chunk):
+                add(perm, values, part)
+            total = [a + b for a, b in zip(total, part)]
     finally:
-        flight.clear()  # after a failure, no completion is coming
+        memo._flight.clear()  # after a failure, no completion is coming
     if not all(map(math.isfinite, total)):
         raise OracleFailure("sampled sums overflow: oracle values are too large for floats")
     return total, count

@@ -22,6 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 ISV = "src/indivisible/isv.py"
+SAMPLING = "src/indivisible/sampling.py"
 
 # (name, file, original text, mutated text, tests that must fail)
 MUTANTS = [
@@ -53,6 +54,22 @@ MUTANTS = [
         [
             "tests/test_isv.py::TestRemainderOrder::test_all_tied",
             "tests/test_isv.py::TestIndivisibleShapley::test_pair_tiebreak",
+        ],
+    ),
+    (
+        "each run is read before the next is asked",
+        SAMPLING,
+        "for complete, _ in pairwise(chain(asks(), [None]))",
+        "for complete in asks()",
+        ["tests/test_sampling.py::TestPipeline::test_next_run_asked_before_the_last_is_read"],
+    ),
+    (
+        "a full memo is cleared in place",
+        SAMPLING,
+        "            self._memo, self._flight = {}, set()\n",
+        "            self._memo.clear()\n",
+        [
+            "tests/test_sampling.py::TestPipeline::test_small_memo_and_runs_change_no_estimate",
         ],
     ),
 ]

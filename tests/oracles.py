@@ -130,7 +130,7 @@ def isv_by_enumeration(g: Game) -> tuple[int, ...]:
     core vectors, found by trying every floor/ceiling vector; raises as
     ``isv_oracle_convex`` does."""
     grand = g.grand_value
-    if grand.denominator != 1:
+    if grand.denominator != 1 or grand < 0:
         raise NotIndivisible(f"grand coalition is worth {grand}")
     sv = shapley_exact(g)
     order = sorted(range(g.n), key=lambda i: (-(sv[i] - math.floor(sv[i])), i))

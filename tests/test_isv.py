@@ -248,6 +248,13 @@ class TestOracle:
         with pytest.raises(EmptyFeasibleSet):
             isv_oracle_convex(floor_half_game())
 
+    def test_negative_grand_rejected_like_the_solver(self):
+        g = make_game(2, [(0b01, F(-1)), (0b10, F(-1)), (0b11, F(-2))])
+        assert is_convex(g)
+        for solve in (indivisible_shapley, isv_oracle_convex):
+            with pytest.raises(NotIndivisible):
+                solve(g)
+
     def test_matches_enumeration(self):
         rng = random.Random(113)
         makers = (

@@ -522,7 +522,8 @@ class TestSubprocessOracle:
 
 
 class TestPipeline:
-    """Runs of permutations are asked for before the last run is summed."""
+    """Each run of at most ``_RUN_MASKS`` coalitions, which may end inside a
+    permutation, is asked for before the last run's values are read."""
 
     class Recording(FunctionOracle):
         def __init__(self, n, fn):
@@ -561,8 +562,44 @@ class TestPipeline:
         memo._oracle = FunctionOracle(n, value)
         assert repr(estimator(memo, cfg)) == repr(expected)
         assert repr(estimator(table, cfg)) == repr(expected)
-        # one run plans fewer than 40 coalitions plus one permutation's plan
-        assert max(largest) <= 50 + 40 + n * n
+        # one run plans at most 40 coalitions
+        assert max(largest) <= 50 + 40
+
+    def test_no_batch_exceeds_a_run(self, deadline, monkeypatch):
+        monkeypatch.setattr(sampling, "_RUN_MASKS", 40)
+        n = 12  # each of the 3 permutations plans 56 to 92 coalitions
+        table = TableOracle(random_game(random.Random(263), n))
+        oracle = self.Recording(n, table.evaluate)
+        cfg = SamplerConfig(samples=3, seed=5)
+        est = sample_shapley_matrix(oracle, cfg)
+        assert max(map(len, oracle.batches)) <= 40
+        assert repr(est) == repr(sample_shapley_matrix(table, cfg))
+
+    @pytest.mark.parametrize("n", [8, 9])  # 800 coalitions make 20 whole runs, 900 do not
+    def test_next_run_asked_before_the_last_is_read(self, monkeypatch, n):
+        monkeypatch.setattr(sampling, "_RUN_MASKS", 40)
+        events = []
+
+        class Logging(sampling.MemoOracle):
+            def _ask(self, masks):
+                run = sum(kind == "ask" for kind, _ in events)
+                events.append(("ask", run))
+                complete = super()._ask(masks)
+
+                def logged():
+                    events.append(("complete", run))
+                    return complete()
+
+                return logged
+
+        cfg = SamplerConfig(samples=100, seed=4)
+        est = sample_shapley(Logging(lowest_oracle(n)), cfg)
+        assert repr(est) == repr(sample_shapley(lowest_oracle(n), cfg))
+        runs = -(-n * cfg.samples // 40)
+        expected = [("ask", 0)]
+        for r in range(1, runs):
+            expected += [("ask", r), ("complete", r - 1)]
+        assert events == expected + [("complete", runs - 1)]
 
     def test_both_pipes_overflow(self, deadline, monkeypatch):
         # a run of 400 queries of 201 bytes fills the query pipe (64 KiB on
