@@ -25,9 +25,9 @@ from . import formats
 from .elections import apportion_isv, coalition_game_from_regions, dhondt
 from .errors import OracleFailure, SolverError
 from .games import (
+    _locally_convex,
     harsanyi_dividends,
     in_core,
-    is_convex,
     is_positive,
     is_size_bounded,
     members,
@@ -118,9 +118,11 @@ def _cmd_dividends(args) -> _Result:
 
 def _cmd_check(args) -> _Result:
     g = _read(args.game, formats.parse_game)
+    positive = is_positive(g)
     checks = {
-        "convex": is_convex(g),
-        "positive": is_positive(g),
+        # is_convex, reusing the dividend pass that decided "positive"
+        "convex": positive or _locally_convex(g),
+        "positive": positive,
         "size-bounded": is_size_bounded(g),
     }
     if args.vector is not None:

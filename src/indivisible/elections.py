@@ -6,11 +6,25 @@ vote tables induce an integer game over coalition partners where a
 coalition is worth the seats its merged list would win under D'Hondt
 against fixed outsider lists.  Both games feed the exact indivisible
 solver unchanged.
+
+In a region, the seats a merged list with total V wins against fixed
+outsiders are a step function of V: the "signposts" of divisor methods
+(Balinski and Young, *Fair Representation*, 1982; Pukelsheim,
+*Proportional Representation*, 2017).  The merged list is index 0 and
+D'Hondt ranks by (quotient, raw votes, lower index), so the list wins at
+least s seats exactly when V/s outranks the outsiders' (seats - s + 1)-th
+best quotient a/b: V*b > a*s, or V*b == a*s and V >= a.  So each region
+costs a few integer thresholds and one bisect per coalition, for up to
+2**m thresholds over m members; a region whose merged members could win
+more seats than that is read per coalition from D'Hondt instead.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from operator import add
 from typing import Sequence
 
 from .errors import AllZeroVotes, EmptySupportCoalition, InvalidRange, NoBallots
@@ -139,6 +153,12 @@ def coalition_game_from_regions(
     A subcoalition is worth the total seats, over all regions, that its
     members would win by running as one merged list (votes summed) against
     the fixed outsider lists of that region.
+
+    One D'Hondt run per region, on the merged total of all members, gives
+    the most seats any coalition can win there.  When that count is at most
+    2**m, the region's seats are read by a bisect of each coalition's total
+    in the thresholds of :func:`_seat_thresholds`; otherwise each coalition
+    gets its own D'Hondt run.  Neither case costs more with more seats.
     """
     parties = tuple(member_parties)
     m = len(parties)
@@ -160,8 +180,34 @@ def coalition_game_from_regions(
     table = [0] * (1 << m)
     for region, outs in zip(rv.regions, checked):
         merged = coalition_sums([region.votes[p] for p in parties])
-        for mask in range(1, 1 << m):
-            lists = [merged[mask], *outs]
-            if any(lists):
-                table[mask] += _dhondt(lists, region.seats)[0]
+        # seats only grow with the merged total, so no coalition wins more than all members
+        most = _dhondt([merged[-1], *outs], region.seats)[0]
+        if most <= 1 << m:
+            thresholds = _seat_thresholds(outs, region.seats, most)
+            seats = map(partial(bisect_right, thresholds), merged)
+        else:
+            # a list with no votes wins nothing, whether or not an outsider has votes
+            seats = (_dhondt([v, *outs], region.seats)[0] if v else 0 for v in merged)
+        table = list(map(add, table, seats))
     return Game(m, RationalTable(table))
+
+
+def _seat_thresholds(outs: Sequence[int], seats: int, most: int) -> list[int]:
+    """The least merged total that wins at least s seats, for s = 1 .. ``most``.
+
+    V/s must outrank the outsiders' (seats - s + 1)-th best quotient a/b.
+    D'Hondt is house monotone, so that quotient is the one seat that
+    (seats - s + 1) seats hand the outsiders on top of (seats - s).  If every
+    outsider has 0 votes, any V > 0 wins every seat.
+    """
+    if not any(outs):
+        return [1] * most
+    thresholds = []
+    alloc = _dhondt(outs, seats)
+    for s in range(1, most + 1):
+        after, alloc = alloc, _dhondt(outs, seats - s)
+        a, b = next((v, n) for v, n, k in zip(outs, after, alloc) if n > k)
+        # V*b > a*s from a*s // b + 1 on; V = a*s / b ties, and wins iff V >= a, i.e. s >= b
+        q, r = divmod(a * s, b)
+        thresholds.append(q if r == 0 and s >= b else q + 1)
+    return thresholds

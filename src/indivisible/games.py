@@ -405,10 +405,19 @@ def shapley_matrix_exact(g: Game) -> tuple[RationalVector, ...]:
 def is_convex(g: Game) -> bool:
     """True iff marginal contributions weakly grow with the coalition.
 
-    Decided by the local two-player criterion: for all ``i < j`` and every
-    ``S`` avoiding both, ``v(S+i+j) + v(S) >= v(S+i) + v(S+j)``, i.e. the
-    marginal gain of ``i`` never drops when ``j`` joins.
+    A game whose Harsanyi dividends are all nonnegative is convex: the
+    second difference ``v(S+i+j) - v(S+i) - v(S+j) + v(S)`` is the sum of
+    the dividends of the coalitions in ``S+i+j`` holding both ``i`` and
+    ``j``.  So one Moebius pass accepts such a game, and only a game with a
+    negative dividend goes on to :func:`_locally_convex`.
     """
+    return is_positive(g) or _locally_convex(g)
+
+
+def _locally_convex(g: Game) -> bool:
+    """The local two-player criterion: for all ``i < j`` and every ``S``
+    avoiding both, ``v(S+i+j) + v(S) >= v(S+i) + v(S+j)``, i.e. the
+    marginal gain of ``i`` never drops when ``j`` joins."""
     for i in range(g.n):
         without_i, with_i = _split(g.values.nums, 1 << i)
         gain = list(map(sub, with_i, without_i))

@@ -21,6 +21,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+ELECTIONS = "src/indivisible/elections.py"
+GAMES = "src/indivisible/games.py"
 ISV = "src/indivisible/isv.py"
 SAMPLING = "src/indivisible/sampling.py"
 
@@ -71,6 +73,33 @@ MUTANTS = [
         [
             "tests/test_sampling.py::TestPipeline::test_small_memo_and_runs_change_no_estimate",
         ],
+    ),
+    (
+        "a tie at equal quotients and equal raw votes goes to the outsider",
+        ELECTIONS,
+        "thresholds.append(q if r == 0 and s >= b else q + 1)",
+        "thresholds.append(q if r == 0 and s > b else q + 1)",
+        [
+            "tests/test_elections.py::TestCoalitionGame::test_ties_at_the_decisive_seat",
+            "tests/test_elections.py::TestCoalitionGame::test_matches_dhondt_per_coalition_on_forced_ties",
+        ],
+    ),
+    (
+        "the outsider quotient rank is off by one",
+        ELECTIONS,
+        "_dhondt(outs, seats - s)",
+        "_dhondt(outs, seats - s - 1)",
+        [
+            "tests/test_elections.py::TestCoalitionGame::test_single_region_merged_list",
+            "tests/test_elections.py::TestCoalitionGame::test_matches_dhondt_per_coalition_on_forced_ties",
+        ],
+    ),
+    (
+        "convexity accepted when the smallest dividend is at least -1",
+        GAMES,
+        "return is_positive(g) or _locally_convex(g)",
+        "return min(harsanyi_dividends(g).nums) >= -1 or _locally_convex(g)",
+        ["tests/test_games.py::TestPredicates::test_dividend_accept_agrees_with_supermodularity"],
     ),
 ]
 

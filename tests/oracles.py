@@ -19,7 +19,9 @@ from indivisible import (
     Game,
     IsvResult,
     OwnerList,
+    RegionalVotes,
     coalition,
+    dhondt,
     in_core,
     make_game,
     members,
@@ -222,6 +224,29 @@ def is_supermodular(g: Game) -> bool:
             if v[a] + v[b] > v[a | b] + v[a & b]:
                 return False
     return True
+
+
+def coalition_seats_by_dhondt(rv: RegionalVotes, parties, outsiders, mask: int) -> int:
+    """Seats the coalition ``mask`` over ``parties`` wins as one merged list:
+    one D'Hondt run per region, skipping a region where nobody has a vote."""
+    total = 0
+    for region, outs in zip(rv.regions, outsiders):
+        merged = sum(region.votes[p] for k, p in enumerate(parties) if mask >> k & 1)
+        if merged or any(outs):
+            total += dhondt([merged, *outs], region.seats)[0]
+    return total
+
+
+def coalition_game_by_dhondt(rv: RegionalVotes, parties, outsiders) -> Game:
+    """The regional coalition game with one D'Hondt run per (coalition, region)."""
+    parties = tuple(parties)
+    return Game(
+        len(parties),
+        RationalTable(
+            coalition_seats_by_dhondt(rv, parties, outsiders, mask)
+            for mask in range(1 << len(parties))
+        ),
+    )
 
 
 _MASK64 = (1 << 64) - 1

@@ -12,9 +12,12 @@ from fractions import Fraction
 from itertools import product
 
 from indivisible import (
+    Region,
+    RegionalVotes,
     SamplerConfig,
     TableOracle,
     coalition,
+    coalition_game_from_regions,
     game_from_owners,
     game_linear,
     in_core,
@@ -35,6 +38,7 @@ from indivisible import (
 
 from oracles import (
     FIVE_PLAYER_OWNERS,
+    coalition_seats_by_dhondt,
     enumerate_integer_core,
     floor_half_game,
     random_fractional_game,
@@ -451,3 +455,22 @@ def test_criterion_10_cli_at_the_table_cap(tmp_path):
         max(times),
         budget,
     )
+
+
+def test_criterion_11_regional_game_at_the_table_cap():
+    """The coalition game of 20 member parties over 20 regions."""
+    rng = random.Random(11_011)
+    m = 20
+    regions, outsiders = [], []
+    for _ in range(20):
+        regions.append(Region(rng.randint(3, 12), tuple(rng.randint(0, 5000) for _ in range(m))))
+        outsiders.append(tuple(rng.randint(1000, 30000) for _ in range(3)))
+    rv = RegionalVotes(tuple(regions))
+    budget = 30
+    start = time.monotonic()
+    g = coalition_game_from_regions(rv, range(m), outsiders)
+    elapsed = time.monotonic() - start
+    masks = [0, (1 << m) - 1, *(1 << i for i in range(m))]
+    masks += [rng.randrange(1 << m) for _ in range(200)]
+    ok = all(g.values[s] == coalition_seats_by_dhondt(rv, range(m), outsiders, s) for s in masks)
+    report(11, f"regional coalition game of {m} members", ok, elapsed, budget)

@@ -22,7 +22,7 @@ from indivisible.errors import (
     NoBallots,
 )
 
-from oracles import two_goods_game
+from oracles import coalition_game_by_dhondt, two_goods_game
 
 F = Fraction
 
@@ -235,6 +235,59 @@ class TestCoalitionGame:
         rv = RegionalVotes((Region(2, (0, 0, 7)),))
         with pytest.raises(AllZeroVotes):
             coalition_game_from_regions(rv, (0, 1), [(0,)])
+
+    def test_ties_at_the_decisive_seat(self):
+        # member 1 has no votes, so both coalitions with member 0 hold its votes
+        cases = [
+            # equal quotients and equal raw totals: the merged list (index 0) wins
+            (3, 2, (3,), 1),
+            (3, 3, (3,), 2),
+            # equal quotients, more raw votes: 6/2 ties 3/1 and the 6 wins
+            (6, 2, (3, 1), 2),
+            (6, 3, (3, 1), 2),
+            # equal quotients, fewer raw votes: 3/1 ties 6/2 and the 6 wins
+            (3, 2, (6,), 0),
+            (3, 3, (6, 1), 1),
+        ]
+        for votes, seats, outs, won in cases:
+            rv = RegionalVotes((Region(seats, (votes, 0)),))
+            g = coalition_game_from_regions(rv, (0, 1), [outs])
+            assert list(g.values) == [0, won, 0, won], (votes, seats, outs)
+
+    def test_matches_dhondt_per_coalition_on_forced_ties(self):
+        """Votes drawn from small multiples of one unit make equal raw totals
+        and equal quotients common.  Regions may have zero-vote outsiders or
+        none, or members whose votes sum to 0, and fall on both sides of the
+        2**m bound on the seats the merged list can win."""
+        rng = random.Random(523)
+        steps = (0, 1, 2, 3, 4, 6, 12)
+        kinds, sides = set(), set()
+        for _ in range(300):
+            m = rng.randint(1, 4)
+            unit = rng.randint(1, 5)
+            regions, outsiders = [], []
+            for _ in range(rng.randint(1, 3)):
+                seats = rng.randint(1, 12)
+                votes = [unit * rng.choice(steps) for _ in range(m + 1)]
+                outs = [unit * rng.choice(steps) for _ in range(rng.randint(1, 3))]
+                kind = rng.randrange(5)
+                if kind == 1:
+                    outs = []
+                elif kind == 2:
+                    outs = [0] * len(outs)
+                elif kind == 3:
+                    votes[:m] = [0] * m
+                if not any(votes[:m]) and not any(outs):
+                    outs.append(unit)
+                kinds.add(kind)
+                most = dhondt([sum(votes[:m]), *outs], seats)[0]
+                sides.add(most <= 1 << m)
+                regions.append(Region(seats, tuple(votes)))
+                outsiders.append(tuple(outs))
+            rv = RegionalVotes(tuple(regions))
+            want = coalition_game_by_dhondt(rv, range(m), outsiders)
+            assert coalition_game_from_regions(rv, range(m), outsiders) == want
+        assert kinds == set(range(5)) and sides == {True, False}
 
     def test_pooling_gains_seats(self):
         # two regions where separate lists waste votes against a large rival

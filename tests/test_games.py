@@ -60,13 +60,16 @@ from indivisible.errors import (
     SolverError,
     TooManyPlayers,
 )
+from indivisible.games import game_from_weights
 
 from oracles import (
+    coalition_seats_by_dhondt,
     dividends_recursive,
     floor_half_game,
     is_supermodular,
     random_convex_int_game,
     random_game,
+    random_positive_int_game,
     random_sizebounded_convex_int_game,
     shapley_by_permutations,
     two_goods_game,
@@ -323,6 +326,26 @@ class TestPredicates:
         for _ in range(10):
             g = random_convex_int_game(rng, rng.randint(2, 6))
             assert is_convex(g) and is_supermodular(g)
+
+    def test_dividend_accept_agrees_with_supermodularity(self):
+        """Positive games, convex games with a negative dividend, and games
+        whose dividends are whole numbers of at least -1, mostly not convex."""
+
+        def small_dividends(rng, n):
+            weights = [(mask, rng.choice((-1, -1, 0, 1))) for mask in range(1, 1 << n)]
+            return game_from_weights(n, weights)
+
+        rng = random.Random(31)
+        kinds = set()
+        for family in (random_positive_int_game, random_convex_int_game, small_dividends):
+            for _ in range(25):
+                g = family(rng, rng.randint(2, 5))
+                convex = is_supermodular(g)
+                assert is_convex(g) == convex
+                kinds.add((is_positive(g), convex))
+        assert kinds == {(True, True), (False, True), (False, False)}
+        # one dividend of -1 and no other: not convex
+        assert not is_convex(make_game(2, [(0b11, -1)]))
 
     def test_positive(self):
         assert is_positive(two_goods_game())
@@ -753,6 +776,17 @@ def test_dhondt_cost_does_not_grow_with_seats():
     # 3/500000001, 1/166666667 and 2/333333334 tie; the larger raw vote wins
     with within(5):
         assert dhondt([3, 1, 2], 10**9) == (500000001, 166666666, 333333333)
+
+
+def test_coalition_cost_does_not_grow_with_seats():
+    # the merged list of all 8 members can win far more than 2**8 seats, and
+    # a coalition of members without votes wins none
+    rv = RegionalVotes((Region(10**9, (5, 0, 7, 3, 3, 11, 2, 0, 6)),))
+    outsiders = [(13, 4)]
+    with within(5):
+        g = coalition_game_from_regions(rv, range(8), outsiders)
+    for mask in (0b1, 0b10, 0b10000010, 0b101100, 0b11111111):
+        assert g.values[mask] == coalition_seats_by_dhondt(rv, range(8), outsiders, mask)
 
 
 def test_every_public_name_has_a_row_or_a_reason():
