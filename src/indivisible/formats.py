@@ -117,23 +117,56 @@ def _read_header(text: str, keyword: str, what: str, source: str):
     return lines, lineno, count, names
 
 
+_RECENT = 1024  # entries each of parse_game's recent-line maps holds before it is cleared
+
+
 def parse_game(text: str, source: str = "<game>") -> Game:
     """Parse the game format: a ``players <n>`` header, then one
-    ``<i1>,...,<ik> <value>`` line per nonzero coalition."""
+    ``<i1>,...,<ik> <value>`` line per nonzero coalition.
+
+    Two maps hold what recent lines read: ``recent`` maps a line's index
+    list to its mask, and ``ratios`` a value token to its (num, den).  A line
+    ``<head>,<tail>`` whose ``head`` an earlier line validated and whose
+    ``tail`` is a recent line's index list, all above ``head``, is read as
+    ``head``'s bit plus that mask; a one-index line with a known ``head`` is
+    that bit alone.  Every other line is read by ``_parse_indices`` and
+    ``_parse_ratio``, so each game and each error is the same as without the
+    maps.  Each map is cleared when it reaches ``_RECENT`` entries, so their
+    memory does not grow with ``n``.  In ascending-mask order, as
+    ``format_game`` writes, a mask's tail comes ``2**i`` masks earlier, ``i``
+    its lowest member, so all but about one line in two hundred take the map.
+    """
     lines, _, n, _ = _read_header(text, "players", "game", source)
     _check_player_count(n, MAX_TABLE_PLAYERS)
     nums = [0] * (1 << n)
     dens = [0] * (1 << n)  # 0 marks a coalition not listed yet
     known: dict[str, int] = {}
+    recent: dict[str, int] = {}
+    ratios: dict[str, tuple[int, int]] = {}
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(source, lineno, f"expected '<players> <value>', got {line!r}")
         players, token = parts
-        mask = _parse_indices(players, n, source, lineno, known)
+        head, comma, tail = players.partition(",")
+        idx = known.get(head, -1)
+        rest = recent.get(tail, 0)  # 0 for a one-index line: no list is empty
+        if idx >= 0 and (not comma or (1 << idx) < (rest & -rest)):
+            mask = 1 << idx | rest
+        else:
+            mask = _parse_indices(players, n, source, lineno, known)
         if dens[mask]:
             raise ParseError(source, lineno, f"coalition {players} listed twice")
-        nums[mask], dens[mask] = _parse_ratio(token, source, lineno)
+        if not mask & 1:  # a list holding player 0 is no line's tail
+            if len(recent) >= _RECENT:
+                recent.clear()
+            recent[players] = mask
+        ratio = ratios.get(token)
+        if ratio is None:
+            if len(ratios) >= _RECENT:
+                ratios.clear()
+            ratio = ratios[token] = _parse_ratio(token, source, lineno)
+        nums[mask], dens[mask] = ratio
     return _game_from_slots(n, nums, dens)
 
 

@@ -95,6 +95,8 @@ def _as_fraction(x) -> Fraction:
 
 def _whole(x, what: str, least: int) -> int:
     """``x`` as an int, if it is a whole rational ``>= least``."""
+    if type(x) is int and x >= least:  # not a bool, which takes the path below
+        return x
     value = _as_fraction(x)
     if value.denominator != 1 or value < least:
         raise InvalidRange(f"{what} must be a whole number >= {least}, got {_shown(x)}")
@@ -285,7 +287,11 @@ def make_game(
 def _read_entries(n: int, entries: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
     """(mask, value) pairs as a dict, each mask a coalition of ``n`` players listed once."""
     listed: dict[int, Fraction] = {}
-    for mask, value in entries:
+    for entry in entries:
+        try:
+            mask, value = entry
+        except (TypeError, ValueError):  # not iterable, or not of length 2
+            raise InvalidRange(f"entry must be a (mask, value) pair, got {_shown(entry)}") from None
         _check_coalition(mask, n, "coalition")
         if mask in listed:
             raise DuplicateCoalition(f"coalition {members(mask)} listed twice")

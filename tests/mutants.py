@@ -22,8 +22,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 ELECTIONS = "src/indivisible/elections.py"
+FORMATS = "src/indivisible/formats.py"
 GAMES = "src/indivisible/games.py"
 ISV = "src/indivisible/isv.py"
+MATCHING = "src/indivisible/matching.py"
 SAMPLING = "src/indivisible/sampling.py"
 
 # (name, file, original text, mutated text, tests that must fail)
@@ -100,6 +102,51 @@ MUTANTS = [
         "return is_positive(g) or _locally_convex(g)",
         "return min(harsanyi_dividends(g).nums) >= -1 or _locally_convex(g)",
         ["tests/test_games.py::TestPredicates::test_dividend_accept_agrees_with_supermodularity"],
+    ),
+    (
+        "a head equal to a recent tail's lowest index passes as ascending",
+        FORMATS,
+        "(1 << idx) < (rest & -rest)",
+        "(1 << idx) <= (rest & -rest)",
+        ["tests/test_formats.py::TestRecentLines::test_head_not_below_a_recent_tail"],
+    ),
+    (
+        "a recent line's tail mask is stored as its own",
+        FORMATS,
+        "            recent[players] = mask\n",
+        "            recent[players] = rest\n",
+        [
+            "tests/test_formats.py::TestRecentLines::test_index_lists_almost_all_read_from_a_recent_tail",
+        ],
+    ),
+    (
+        "a search takes the last player of a scan that holds a free object",
+        MATCHING,
+        "                    obj = self._free_object(player)\n"
+        "                    if obj != _FREE:\n"
+        "                        break\n"
+        "                    queue.append(player)\n",
+        "                    found = self._free_object(player)\n"
+        "                    if found == _FREE:\n"
+        "                        queue.append(player)\n"
+        "                    else:\n"
+        "                        obj, last = found, player\n"
+        "                if obj != _FREE:\n"
+        "                    player = last\n",
+        [
+            "tests/test_matching.py::TestMatchingGraph::test_first_reached_player_with_a_free_object_wins",
+            "tests/test_matching.py::TestIsvAllocation::test_agrees_with_reference_search",
+        ],
+    ),
+    (
+        "the convex reference walks the round-up sets in reverse",
+        ISV,
+        "    for ups in combinations(fractional, units - sum(floors)):\n",
+        "    for ups in reversed(list(combinations(fractional, units - sum(floors)))):\n",
+        [
+            "tests/test_isv.py::TestOracle::test_two_goods",
+            "tests/test_isv.py::TestOracle::test_matches_enumeration",
+        ],
     ),
 ]
 

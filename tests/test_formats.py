@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from indivisible import ApprovalProfile, Region, RegionalVotes
+from indivisible import ApprovalProfile, Region, RegionalVotes, make_game
+from indivisible import formats
 from indivisible.errors import ParseError, SolverError, TooManyPlayers
 from indivisible.formats import (
     format_approval_profile,
@@ -280,6 +281,72 @@ class TestReferenceParser:
             assert _outcome(parse_game, mutated) == expected, repr(mutated)
             errors += isinstance(expected, tuple)
         assert 200 < errors < 1800  # the edits reach both outcomes
+
+    def test_single_character_edits_of_ascending_files_agree(self):
+        """Files in ascending-mask order, as ``format_game`` writes them, are
+        the ones whose lines are read from a recent line's tail."""
+        rng = random.Random(1024)
+        alphabet = [",", "0", "1", "2", "9", " ", "\n", "-", "/", "+", "x", "#"]
+        errors = 0
+        for _ in range(600):
+            g = random_game(rng, rng.randint(1, 10), rng.choice([1, 4, 12]))
+            text = format_game(g)
+            assert parse_game(text) == g
+            at = rng.randrange(len(text))
+            edit = rng.choice(["replace", "insert", "delete"])
+            tail = text[at:] if edit == "insert" else text[at + 1 :]
+            mutated = text[:at] + ("" if edit == "delete" else rng.choice(alphabet)) + tail
+            expected = _outcome(reference_parse_game, mutated)
+            assert _outcome(parse_game, mutated) == expected, (at, edit, mutated[at - 20 : at + 20])
+            errors += isinstance(expected, tuple)
+        assert 60 < errors < 540  # the edits reach both outcomes
+
+
+class TestRecentLines:
+    """A line read from a recent line's tail is checked as strictly as any
+    other, and almost every line of an ascending file is read that way."""
+
+    @pytest.mark.parametrize("token", ["1,1,2", "2,1,2"])
+    def test_head_not_below_a_recent_tail(self, token):
+        text = f"players 3\n1,2 1\n{token} 1\n"
+        with pytest.raises(ParseError) as exc:
+            parse_game(text, source="r")
+        assert str(exc.value) == f"r:3: player indices must be strictly ascending, got {token!r}"
+
+    @pytest.mark.parametrize("line", ["0,1,2 5", "0,01,2 5", "00,1,2 5", "+0,1,02 5"])
+    def test_head_below_a_recent_tail(self, line):
+        text = f"players 3\n0 1\n1,2 1\n{line}\n"
+        assert parse_game(text).values[0b111] == 5
+        assert parse_game(text) == reference_parse_game(text)
+
+    @pytest.mark.parametrize("line", ["2 5", "02 5", "+2 5", "\u0662 5", "1 5", "3 5", "x 5", "-0 5"])
+    def test_one_index_line(self, line):
+        text = f"players 3\n0,2 1\n{line}\n"  # "0" and "2" are known, "1" is not
+        assert _outcome(parse_game, text) == _outcome(reference_parse_game, text)
+
+    def test_repeated_value_token(self):
+        text = "players 3\n0 3/6\n1 3/6\n2 -0\n0,1 -0\n0,2 2/4\n1,2 x\n"
+        assert _outcome(parse_game, text) == ("ParseError", 7, "m.game:7: bad rational value 'x'")
+        g = parse_game(text.replace(" x", " 3/6"))
+        assert g == reference_parse_game(text.replace(" x", " 3/6"))
+        assert [g.values[m] for m in (1, 2, 4, 3, 5, 6)] == [F(1, 2), F(1, 2), 0, 0, F(1, 2), F(1, 2)]
+
+    def test_index_lists_almost_all_read_from_a_recent_tail(self, monkeypatch):
+        # a dense 16-player table, its values spread over more tokens than a map holds
+        n = 16
+        g = make_game(n, [(m, F(1 + m % 1999, 1 + m % 5)) for m in range(1, 1 << n)])
+        text = format_game(g)
+        calls = 0
+        read = formats._parse_indices
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return read(*args)
+
+        monkeypatch.setattr(formats, "_parse_indices", counting)
+        assert parse_game(text) == g
+        assert 0 < calls <= 0.02 * ((1 << n) - 1)
 
 
 class TestIndexLists:

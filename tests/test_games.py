@@ -60,7 +60,7 @@ from indivisible.errors import (
     SolverError,
     TooManyPlayers,
 )
-from indivisible.games import game_from_weights
+from indivisible.games import _whole, game_from_weights
 
 from oracles import (
     coalition_seats_by_dhondt,
@@ -569,6 +569,16 @@ def test_whole_float_counts_still_accepted():
     assert sample_shapley(FunctionOracle(2.0, float), SamplerConfig(exhaustive=True)) == [1.0, 2.0]
 
 
+def test_whole_reads_ints_bools_and_rationals_alike():
+    assert _whole(7, "count", 7) == 7
+    for flag in (True, False):  # a bool is read as the int it equals, never returned as is
+        assert type(_whole(flag, "count", 0)) is int and _whole(flag, "count", 0) == flag
+    assert _whole(F(6, 2), "count", 0) == 3 and _whole("4", "count", 0) == 4
+    for bad in (2, True, 2.0):
+        with pytest.raises(InvalidRange, match=rf"count must be a whole number >= 3, got {bad!r}$"):
+            _whole(bad, "count", 3)
+
+
 def _oracle_query(command, n):
     with SubprocessOracle(command, n) as oracle:
         return oracle.evaluate(1)
@@ -617,6 +627,10 @@ GUARANTEES = {
     "owner_list [[-1]]": (lambda: owner_list(2, [[-1]]), PlayerOutOfRange),
     "make_game mask 1.5": (lambda: make_game(2, [(1.5, 1)]), PlayerOutOfRange),
     "make_game n=2.5": (lambda: make_game(2.5, []), PlayerOutOfRange),
+    "make_game entry (1,)": (lambda: make_game(2, [(1,)]), InvalidRange),
+    "make_game entry 1": (lambda: make_game(2, [1]), InvalidRange),
+    "make_game entry (1, 1, 1)": (lambda: make_game(2, [(1, 1, 1)]), InvalidRange),
+    "isv_from_dividends entry (3,)": (lambda: isv_from_dividends(2, [(3,)]), InvalidRange),
     "Game n=-1": (lambda: Game(-1, (0,)), InvalidRange),
     "OwnerList n=2.5": (lambda: OwnerList(2.5, (1,)), InvalidRange),
     "isv_from_dividends n=2.5": (lambda: isv_from_dividends(2.5, [(1, 1)]), InvalidRange),
