@@ -13,19 +13,19 @@ bit-identical estimates on every run.
 
 Both estimators run through one summing loop, ``_sums``; exhaustive mode
 is a single chunk over all ``n!`` permutations.  Each estimator update
-comes in two halves: a query plan, the coalitions one permutation needs,
-and the sum itself.  ``_sums`` runs them as two streams over the same
-permutations.  The planner concatenates the plans and cuts them into runs
-of at most ``_RUN_MASKS`` coalitions, which may end inside a permutation;
-it hands each run to the memo, which drops hits, duplicates and
+comes in two halves: a query plan, which yields the coalitions one
+permutation needs, and the sum itself.  ``_sums`` runs them as two streams
+over the same permutations.  The planner chains the plans into one stream
+of coalitions and cuts it with ``islice`` into runs of at most
+``_RUN_MASKS``, which may end inside a permutation, so no whole plan is
+held; it hands each run to the memo, which drops hits, duplicates and
 coalitions already asked, and asks the wrapped oracle for the rest in one
 batch.  It asks for run ``r + 1`` before run ``r`` is read, so a
 child-process oracle answers the next run while this process sums the
 last one.  The memo gives back each run's values in plan order, and the
 summer reads them in that order, so neither the plans nor the runs change
-an estimate.  ``large.select_top_k``
-takes the Shapley estimate and the synergy matrix from one pass, so it
-samples each permutation once.
+an estimate.  ``large.select_top_k`` takes the Shapley estimate and the
+synergy matrix from one pass, so it samples each permutation once.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, pairwise, permutations, tee
 from operator import or_
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     ChildExited,
@@ -159,9 +159,10 @@ class MemoOracle(ValueOracle):
     ``_ask`` is the one place that asks the wrapped oracle, checks and
     caches its values and starts the cache over, which it does at an ask
     once the cached and in-flight coalitions together number
-    ``_MEMO_SIZE``.  Each completion reads the cache it was asked against,
-    so completions still due when the cache starts over give their values
-    as before.
+    ``_MEMO_SIZE`` divided by the 64-bit words of a mask, so the cache
+    holds about as many mask words at any player count.  Each completion
+    reads the cache it was asked against, so completions still due when
+    the cache starts over give their values as before.
     """
 
     def __init__(self, oracle: ValueOracle):
@@ -179,7 +180,7 @@ class MemoOracle(ValueOracle):
         neither cached nor in flight yet, each mask once.  The completion
         checks and caches their values and gives the values of ``masks``,
         in order."""
-        if len(self._memo) + len(self._flight) >= _MEMO_SIZE:
+        if len(self._memo) + len(self._flight) >= _MEMO_SIZE // ((self.n + 63) // 64):
             self._memo, self._flight = {}, set()
         memo, flight = self._memo, self._flight
         unseen = dict.fromkeys([m for m in masks if m not in memo])
@@ -432,17 +433,18 @@ def _sums(
 ) -> tuple[list[float], int]:
     """Sum ``add(perm, values, part)`` over the configured permutations.
 
-    ``plan(perm)`` lists every coalition that ``add`` reads for ``perm``,
+    ``plan(perm)`` yields every coalition that ``add`` reads for ``perm``,
     in the order it reads them; ``values`` is an iterator over the values
     of all the plans, in order, and ``add`` takes the values of ``perm``'s
     plan off its front.  Two streams share the permutations: the planner
-    concatenates the plans and asks the memo for them in runs of at most
-    ``_RUN_MASKS`` coalitions, which may end inside a permutation, and
-    asks for run ``r + 1`` before run ``r``'s completion is called; the
-    summer reads the completions' values in order.  Returns ``size`` flat
-    totals and the permutation count.  Each chunk of ``_CHUNK``
-    permutations is summed into its own partial, and partials are merged
-    in chunk order; exhaustive mode is a single chunk.
+    chains the plans into one stream of coalitions, asks the memo for
+    consecutive ``islice`` runs of at most ``_RUN_MASKS`` of them, which
+    may end inside a permutation, and asks for run ``r + 1`` before run
+    ``r``'s completion is called; the summer reads the completions'
+    values in order.  Returns ``size`` flat totals and the permutation
+    count.  Each chunk of ``_CHUNK`` permutations is summed into its own
+    partial, and partials are merged in chunk order; exhaustive mode is a
+    single chunk.
     """
     n = oracle.n
     _validate(cfg, n)
@@ -454,22 +456,10 @@ def _sums(
         count, chunk = cfg.samples, _CHUNK
         perms = (_permutation(n, cfg.seed, t) for t in range(count))
     ahead, behind = tee(perms)
-
-    def asks():
-        """The completions of the plans of ``ahead``, cut into runs."""
-        run: list[int] = []
-        for perm in ahead:
-            masks = plan(perm)
-            start, end = 0, _RUN_MASKS - len(run)
-            while end <= len(masks):
-                yield memo._ask(run + masks[start:end])
-                run, start, end = [], end, end + _RUN_MASKS
-            run += masks[start:]
-        if run:
-            yield memo._ask(run)
-
+    masks = chain.from_iterable(map(plan, ahead))
+    asks = map(memo._ask, iter(lambda: list(islice(masks, _RUN_MASKS)), []))
     # pairwise asks for run r + 1 before it hands out run r's completion
-    values = chain.from_iterable(complete() for complete, _ in pairwise(chain(asks(), [None])))
+    values = chain.from_iterable(complete() for complete, _ in pairwise(chain(asks, [None])))
     total = [0.0] * size
     try:
         for _ in range(0, count, chunk):
@@ -484,9 +474,9 @@ def _sums(
     return total, count
 
 
-def _prefixes(perm: Sequence[int]) -> list[int]:
+def _prefixes(perm: Sequence[int]) -> Iterator[int]:
     """The query plan of ``_marginals``: the ``n`` prefixes of ``perm``."""
-    return list(accumulate([1 << i for i in perm], or_))
+    return accumulate((1 << i for i in perm), or_)
 
 
 def _marginals(perm: Sequence[int], values, out: list[float]) -> None:
@@ -518,21 +508,19 @@ def _shapley_and_matrix(
     tails = [harmonic_tail(s + 1, n) for s in range(n + 1)]
     phi_at = n * n
 
-    def plan(perm: Sequence[int]) -> list[int]:
+    def plan(perm: Sequence[int]) -> Iterator[int]:
         """Each prefix ``S+i``, and ``S-j+i`` and ``S-j`` for each predecessor ``j > i``."""
-        masks = []
         prefix = 0
         for i in perm:
             bit = 1 << i
-            masks.append(prefix | bit)
+            yield prefix | bit
             rest = prefix >> (i + 1) << (i + 1)
             while rest:
                 low = rest & -rest
                 rest ^= low
-                masks.append((prefix ^ low) | bit)
-                masks.append(prefix ^ low)
+                yield (prefix ^ low) | bit
+                yield prefix ^ low
             prefix |= bit
-        return masks
 
     def add(perm: Sequence[int], values, acc: list[float]) -> None:
         prefix = 0

@@ -63,8 +63,8 @@ MUTANTS = [
     (
         "each run is read before the next is asked",
         SAMPLING,
-        "for complete, _ in pairwise(chain(asks(), [None]))",
-        "for complete in asks()",
+        "for complete, _ in pairwise(chain(asks, [None]))",
+        "for complete in asks",
         ["tests/test_sampling.py::TestPipeline::test_next_run_asked_before_the_last_is_read"],
     ),
     (
@@ -75,6 +75,30 @@ MUTANTS = [
         [
             "tests/test_sampling.py::TestPipeline::test_small_memo_and_runs_change_no_estimate",
         ],
+    ),
+    (
+        "a run asks again for coalitions already in flight",
+        SAMPLING,
+        "            flight.update(missing)\n",
+        "",
+        [
+            "tests/test_sampling.py::TestPipeline::test_queries_in_first_appearance_order",
+            "tests/test_sampling.py::TestPipeline::test_child_values_are_gated_once",
+        ],
+    ),
+    (
+        "runs are cut one coalition too long",
+        SAMPLING,
+        "list(islice(masks, _RUN_MASKS))",
+        "list(islice(masks, _RUN_MASKS + 1))",
+        ["tests/test_sampling.py::TestPipeline::test_next_run_asked_before_the_last_is_read"],
+    ),
+    (
+        "the memo cap counts coalitions, not mask words",
+        SAMPLING,
+        "_MEMO_SIZE // ((self.n + 63) // 64)",
+        "_MEMO_SIZE",
+        ["tests/test_sampling.py::TestPipeline::test_small_memo_and_runs_change_no_estimate"],
     ),
     (
         "a tie at equal quotients and equal raw votes goes to the outsider",

@@ -349,7 +349,8 @@ class TestExitCodes:
         def limit_address_space():  # in the child only
             resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
-        # one permutation's 200000 prefix masks, of up to 200000 bits each, need 2.5 GB
+        # the first ask's 2048 query lines of 200000 characters (410 MB) are
+        # held as a list, then joined and ended with a newline: 1.2 GB at once
         res = subprocess.run(
             [sys.executable, "-m", "indivisible.cli", "sample", "200000"]
             + ["--oracle", "cat", "--k", "1"],

@@ -1,6 +1,7 @@
 import random
 import select
 import signal
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -545,12 +546,16 @@ class TestPipeline:
         assert asked == needed_in_order(n, cfg, estimator is sample_shapley_matrix)
 
     @pytest.mark.parametrize("estimator", [sample_shapley, sample_shapley_matrix])
-    def test_small_memo_and_runs_change_no_estimate(self, deadline, monkeypatch, estimator):
-        n = 9
-        table = TableOracle(random_game(random.Random(257), n))
-        cfg = SamplerConfig(samples=_CHUNK + 300, seed=8)
+    @pytest.mark.parametrize("n, samples", [(9, _CHUNK + 300), (100, 4)])
+    def test_small_memo_and_runs_change_no_estimate(
+        self, deadline, monkeypatch, n, samples, estimator
+    ):
+        table = lowest_oracle(n) if n > 64 else TableOracle(random_game(random.Random(257), n))
+        cfg = SamplerConfig(samples=samples, seed=8)
         expected = estimator(table, cfg)
-        monkeypatch.setattr(sampling, "_MEMO_SIZE", 50)
+        # the memo holds 50 coalitions whatever the player count: a mask of
+        # 100 players takes two 64-bit words
+        monkeypatch.setattr(sampling, "_MEMO_SIZE", 50 * -(-n // 64))
         monkeypatch.setattr(sampling, "_RUN_MASKS", 40)
         memo = memoized(table)
         largest = []
@@ -574,6 +579,36 @@ class TestPipeline:
         est = sample_shapley_matrix(oracle, cfg)
         assert max(map(len, oracle.batches)) <= 40
         assert repr(est) == repr(sample_shapley_matrix(table, cfg))
+
+    def test_one_permutation_of_1000_players_in_128_mib(self):
+        # the one plan, about 500 000 coalitions of 1000 bits, streams into
+        # runs and the memo keeps 2**20 // 16 of them, so the call needs about
+        # 100 MB, most of it the 1000 x 1000 matrix and its sums
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no address-space limit on this platform")
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 128 << 20 if hard == resource.RLIM_INFINITY else min(128 << 20, hard)
+
+        def limit_address_space():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+        script = (
+            "from indivisible import FunctionOracle, SamplerConfig, sample_shapley_matrix\n"
+            "oracle = FunctionOracle(1000, lambda mask: mask.bit_count())\n"
+            "matrix = sample_shapley_matrix(oracle, SamplerConfig(samples=1, seed=1))\n"
+            "print(len(matrix))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_address_space,
+            timeout=120,
+        )
+        assert res.stderr == ""
+        assert res.returncode == 0
+        assert res.stdout == "1000\n"
 
     @pytest.mark.parametrize("n", [8, 9])  # 800 coalitions make 20 whole runs, 900 do not
     def test_next_run_asked_before_the_last_is_read(self, monkeypatch, n):
