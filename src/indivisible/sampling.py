@@ -212,7 +212,11 @@ class SubprocessOracle(ValueOracle):
     character ``p`` is 1 iff player ``p`` is a member; the child replies
     with one line holding a decimal number, in query order.  ``_ask``
     queues a batch and writes what the pipe takes; its completion pumps
-    both pipes until the replies up to that batch's last are read.  Both
+    both pipes until the replies up to that batch's last are read.  A
+    pending query is kept once, as its mask; its text is rendered line by
+    line into the unsent bytes, and again only for an error message that
+    names it, so the parent holds one copy of the text of each run it has
+    asked and not yet written.  Both
     pipes are non-blocking and the pump waits in ``select`` only when
     neither can move, so neither process can block on a full pipe.  A
     child that owes replies and sends nothing for ``_REPLY_TIMEOUT``
@@ -222,7 +226,6 @@ class SubprocessOracle(ValueOracle):
 
     def __init__(self, command: str | Sequence[str], n: int):
         self.n = _whole(n, "player count", 1)
-        self._width = f"0{self.n}b"
         try:
             args = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:
@@ -241,7 +244,7 @@ class SubprocessOracle(ValueOracle):
         os.set_blocking(self._out, False)
         self._unsent = bytearray()  # query lines not written yet
         self._owed = 0  # query lines written whose replies have not been read
-        self._queries: deque[str] = deque()  # query lines not answered yet, oldest first
+        self._queries: deque[int] = deque()  # masks asked and not answered yet, oldest first
         self._replies: list[float] = []  # replies read and not taken by a completion yet
         self._taken = 0  # replies taken off the front of ``_replies``
         self._partial = b""  # the start of a reply whose line has not ended yet
@@ -255,27 +258,27 @@ class SubprocessOracle(ValueOracle):
         return _checked(masks, self._ask(masks)())
 
     def _ask(self, masks: Sequence[int]) -> Callable[[], list]:
-        """Queue one query per mask, every mask checked first, and write what
-        the pipe takes now; the completion pumps until they are answered."""
+        """Queue one query per mask, every mask checked first, append their
+        lines to the unsent bytes one at a time and write what the pipe
+        takes now; the completion pumps until they are answered."""
         self._live()
         for mask in masks:
             _check_coalition(mask, self.n, "coalition")
-        queries = [format(mask, self._width)[::-1] for mask in masks]  # character p is bit p
         start = self._taken + len(self._replies) + len(self._queries)  # replies due before these
-        if queries:
+        if masks:
             if not self._queries and self._proc.poll() is not None:
-                raise ChildExited(
-                    f"oracle exited with status {self._proc.returncode} before query {queries[0]}"
-                )
-            self._queries += queries
+                status, query = self._proc.returncode, self._line(masks[0])
+                raise ChildExited(f"oracle exited with status {status} before query {query}")
+            self._queries += masks
             if self._broken is None:
-                self._unsent += ("\n".join(queries) + "\n").encode()
+                for mask in masks:
+                    self._unsent += self._line(mask).encode() + b"\n"
                 self._write()
 
         def complete() -> list[float]:
             self._live()
             skip = start - self._taken  # replies to earlier asks whose completion was dropped
-            end = skip + len(queries)
+            end = skip + len(masks)
             if len(self._replies) < end:
                 try:
                     self._pump(end)
@@ -288,6 +291,10 @@ class SubprocessOracle(ValueOracle):
             return values
 
         return complete
+
+    def _line(self, mask: int) -> str:
+        """The query text of ``mask``: character ``p`` is bit ``p``."""
+        return bin(mask)[:1:-1].ljust(self.n, "0")
 
     def _live(self) -> None:
         """Raise if an exchange failed: later replies may answer other queries."""
@@ -315,7 +322,7 @@ class SubprocessOracle(ValueOracle):
         while len(self._replies) < count:
             if not self._owed and self._broken is not None:
                 raise ChildExited(
-                    f"oracle pipe closed on query {self._queries[0]}: {self._broken}"
+                    f"oracle pipe closed on query {self._line(self._queries[0])}: {self._broken}"
                 ) from self._broken
             wrote = bool(self._unsent) and self._write()
             try:
@@ -333,11 +340,12 @@ class SubprocessOracle(ValueOracle):
                     self._proc.kill()
                     raise ChildExited(
                         f"oracle sent no reply for {_REPLY_TIMEOUT:g} s "
-                        f"to query {self._queries[0]}"
+                        f"to query {self._line(self._queries[0])}"
                     ) from None
                 continue
             if not chunk:
-                raise ChildExited(f"oracle closed its output on query {self._queries[0]}")
+                query = self._line(self._queries[0])
+                raise ChildExited(f"oracle closed its output on query {query}")
             deadline = None
             self._take(chunk)
 
@@ -347,15 +355,16 @@ class SubprocessOracle(ValueOracle):
         owed = self._owed
         if len(replies) + (self._partial != b"") > owed:  # bytes past the last query sent
             raise ProtocolViolation(
-                f"oracle sent more replies than the {owed} queries up to "
-                f"{self._queries[max(owed - 1, 0)]}"
+                f"oracle sent more replies than the {self._taken + len(self._replies) + owed} "
+                "queries written to it"
             )
         self._owed = owed - len(replies)
         for reply in replies:
-            query = self._queries.popleft()
+            mask = self._queries.popleft()
             # an undecodable reply then fails the decimal check
             text = reply.decode("utf-8", "replace").strip()
             if not _DECIMAL_RE.fullmatch(text):
+                query = self._line(mask)
                 raise ProtocolViolation(f"malformed oracle reply {text!r} to query {query}")
             self._replies.append(float(text))
 

@@ -91,7 +91,10 @@ MUTANTS = [
         SAMPLING,
         "list(islice(masks, _RUN_MASKS))",
         "list(islice(masks, _RUN_MASKS + 1))",
-        ["tests/test_sampling.py::TestPipeline::test_next_run_asked_before_the_last_is_read"],
+        [
+            "tests/test_sampling.py::TestPipeline::test_next_run_asked_before_the_last_is_read",
+            "tests/test_sampling.py::TestPipeline::test_every_run_but_the_last_is_full",
+        ],
     ),
     (
         "the memo cap counts coalitions, not mask words",

@@ -349,10 +349,10 @@ class TestExitCodes:
         def limit_address_space():  # in the child only
             resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
-        # the first ask's 2048 query lines of 200000 characters (410 MB) are
-        # held as a list, then joined and ended with a newline: 1.2 GB at once
+        # the first ask's 2048 query lines of 1000000 characters are 2 GB of
+        # text even when held once, as they are appended to the unsent bytes
         res = subprocess.run(
-            [sys.executable, "-m", "indivisible.cli", "sample", "200000"]
+            [sys.executable, "-m", "indivisible.cli", "sample", "1000000"]
             + ["--oracle", "cat", "--k", "1"],
             capture_output=True,
             text=True,

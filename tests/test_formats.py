@@ -153,6 +153,14 @@ class TestRegionalFormat:
         with pytest.raises(ParseError):
             parse_regional("parties 2 A B\nregion 3 100\n")
 
+    @pytest.mark.parametrize(
+        "text", ["parties 2 A B\n", "parties 2 A B\n# no region follows\n\n"]
+    )
+    def test_no_region_line(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_regional(text, source="r")
+        assert str(exc.value) == "r:1: regional file lists no regions"
+
 
 class TestValues:
     def test_format_value(self):

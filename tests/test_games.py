@@ -47,6 +47,7 @@ from indivisible import (
 )
 from indivisible.errors import (
     AlphaOutOfRange,
+    ChildExited,
     DuplicateCoalition,
     EmptySupportCoalition,
     InvalidRange,
@@ -54,6 +55,7 @@ from indivisible.errors import (
     NegativeDividend,
     NegativePayoff,
     NonzeroEmptySet,
+    OracleFailure,
     PlayerCountMismatch,
     PlayerOutOfRange,
     ProtocolViolation,
@@ -593,6 +595,10 @@ def _refuse(mask):
     raise RuntimeError("this oracle must not be queried")
 
 
+def _child_gone(mask):
+    raise ChildExited("the child behind this oracle is gone")
+
+
 class ShortBatchOracle(ValueOracle):
     """Answers every batch with one value too few."""
 
@@ -746,6 +752,27 @@ GUARANTEES = {
     ),
     "SamplerConfig exhaustive 'no'": (
         lambda: sample_shapley(TableOracle(G3), SamplerConfig(samples=3, exhaustive="no")),
+        InvalidRange,
+    ),
+    # a callable's own error is wrapped; an OracleFailure passes through as it is
+    "FunctionOracle RuntimeError": (
+        lambda: FunctionOracle(2, _refuse).evaluate(1),
+        OracleFailure,
+    ),
+    "FunctionOracle ChildExited": (
+        lambda: FunctionOracle(2, _child_gone).evaluate(1),
+        ChildExited,
+    ),
+    "reduced_game last player below its worth": (
+        lambda: reduced_game(unanimity_game(1, 1), 0, 0),
+        NonzeroEmptySet,
+    ),
+    "coalition_game_from_regions 2 outsider lists for 1 region": (
+        lambda: coalition_game_from_regions(RegionalVotes((Region(2, (3, 4)),)), (0, 1), [(), ()]),
+        InvalidRange,
+    ),
+    "MatchingGraph augment_from a matched copy": (
+        lambda: _matched_copy_of_2().augment_from(0),
         InvalidRange,
     ),
 }

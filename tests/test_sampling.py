@@ -1,9 +1,11 @@
+import os
 import random
 import select
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -521,6 +523,53 @@ class TestSubprocessOracle:
             with pytest.raises(ProtocolViolation, match="more replies"):
                 oracle.evaluate(0b01)
 
+    def test_reply_before_any_whole_query(self, deadline):
+        # the child answers before it reads, and never reads: the one query
+        # line is longer than a pipe holds, so none has been written whole
+        n = 1 << 21
+        oracle = SubprocessOracle(python_child("print(1)\ntime.sleep(60)\n"), n)
+        try:
+            with pytest.raises(ProtocolViolation) as caught:
+                oracle.evaluate((1 << n) - 1)
+            # the message names no query, which would be n characters long
+            assert str(caught.value) == "oracle sent more replies than the 0 queries written to it"
+        finally:
+            oracle._proc.kill()
+            oracle.close()
+
+    def test_child_exited_before_the_ask(self, deadline):
+        with SubprocessOracle([sys.executable, "-c", "pass"], 2) as oracle:
+            oracle._proc.wait()
+            with pytest.raises(ChildExited, match="^oracle exited with status 0 before query 10$"):
+                oracle.evaluate(0b01)
+
+    def test_child_closed_its_input_and_runs_on(self, deadline):
+        child = python_child("import os\nos.close(0)\nprint('closed')\ntime.sleep(60)\n")
+        oracle = SubprocessOracle(child, 2)
+        try:
+            select.select([oracle._out], [], [], 10)
+            assert os.read(oracle._out, 100) == b"closed\n"  # no query was written before
+            with pytest.raises(ChildExited, match="^oracle pipe closed on query 10: .*Broken pipe"):
+                oracle.evaluate(0b01)
+        finally:
+            oracle._proc.kill()
+            oracle.close()
+
+    def test_query_text_held_once(self, deadline):
+        # 2048 query lines of 20 001 bytes, far more than the pipe takes: the
+        # lines not written yet are the only copy of the run's text
+        n, rng = 20_000, random.Random(31)
+        masks = [rng.getrandbits(n) for _ in range(2048)]
+        text = len(masks) * (n + 1)
+        with SubprocessOracle(python_child("sys.stdin.buffer.read()\n"), n) as oracle:
+            tracemalloc.start()
+            try:
+                oracle._ask(masks)  # the completion is dropped unread
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5 * text
+
 
 class TestPipeline:
     """Each run of at most ``_RUN_MASKS`` coalitions, which may end inside a
@@ -578,6 +627,30 @@ class TestPipeline:
         cfg = SamplerConfig(samples=3, seed=5)
         est = sample_shapley_matrix(oracle, cfg)
         assert max(map(len, oracle.batches)) <= 40
+        assert repr(est) == repr(sample_shapley_matrix(table, cfg))
+
+    def test_every_run_but_the_last_is_full(self, deadline, monkeypatch):
+        # the memo is handed the plans themselves, duplicates included, cut
+        # into runs of exactly 40 coalitions
+        monkeypatch.setattr(sampling, "_RUN_MASKS", 40)
+        runs = []
+
+        class Recording(sampling.MemoOracle):
+            def _ask(self, masks):
+                runs.append(len(masks))
+                return super()._ask(masks)
+
+        n = 12
+        table = TableOracle(random_game(random.Random(263), n))
+        cfg = SamplerConfig(samples=3, seed=5)
+        est = sample_shapley_matrix(Recording(table), cfg)
+        planned = 0  # S+i for each i, and S-j+i and S-j for each j > i in S
+        for t in range(cfg.samples):
+            perm = splitmix_permutation(n, cfg.seed, t)
+            planned += n + 2 * sum(j > i for k, i in enumerate(perm) for j in perm[:k])
+        assert sum(runs) == planned
+        assert runs[:-1] == [40] * (len(runs) - 1)
+        assert 0 < runs[-1] <= 40
         assert repr(est) == repr(sample_shapley_matrix(table, cfg))
 
     def test_one_permutation_of_1000_players_in_128_mib(self):
