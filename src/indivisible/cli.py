@@ -165,7 +165,9 @@ def _cmd_allocate(args) -> _Result:
     allocation = isv_allocation(ol)
     values = [str(c) for c in allocation.counts]
     trace = [[j, p] for j, p in enumerate(allocation.assignment)]
-    lines = [f"{j} -> {p}" for j, p in trace] + [f"player {i} {c}" for i, c in enumerate(values)]
+    lines = None  # the machine document prints no lines
+    if args.format == "human":
+        lines = [f"{j} -> {p}" for j, p in trace] + [f"player {i} {c}" for i, c in enumerate(values)]
     return _Result(ol.n, values, str(sum(allocation.counts)), trace, lines)
 
 

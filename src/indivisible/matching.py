@@ -6,12 +6,17 @@ coalition, its Shapley value has a closed form (each owner gets an equal
 share of each owned object), and the integer payoffs can be realised as
 an actual assignment of objects to owners via bipartite matching: one
 player-node copy per guaranteed unit, all matched, then one extra copy per
-player in remainder order, kept only if an augmenting path exists.  Every
+player in remainder order, kept only if an augmenting path exists.  One
+walk over the owners' bits lists each player's objects; the shares are
+summed from those lists and the matching reads them too.  Every
 augmenting path comes from one iterative breadth-first search over
 players, which ends at the first player it reaches that holds a free
 object.  A matched object is never freed again (a path only passes
-objects on between copies), so each player's check resumes at its first
-free object instead of rescanning the ones before it.  Shares, floors and
+objects on between copies), so each player's free objects come from one
+forward pass over its list.  The guaranteed units are matched player by
+player: a search from a player that still holds a free object would take
+exactly that object, so a player's units take its next free objects in
+that one pass, and only the units left over search.  Shares, floors and
 remainders are integers over one common scale.  The resulting count
 vector matches the exact indivisible Shapley value of the induced game
 without ever building the full table; which owner gets each object is
@@ -23,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptySupportCoalition,
@@ -72,23 +78,39 @@ def game_from_owners(ol: OwnerList, *, max_players: int = MAX_TABLE_PLAYERS) -> 
     return game_from_weights(ol.n, ((s, 1) for s in ol.owners), max_players=max_players)
 
 
-def _owner_shares(ol: OwnerList) -> tuple[list[int], int]:
-    """Each player's Shapley value as an integer numerator over one scale."""
+def _player_objects(object_owners: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """Each owning player's objects in ascending order, from one walk over
+    the owners' bits; raises unless every mask is a positive int."""
+    objects: dict[int, list[int]] = {}
+    for j, owners in enumerate(object_owners):
+        if not isinstance(owners, int) or owners <= 0:
+            members(owners)  # raises PlayerOutOfRange unless there is no owner
+            raise EmptySupportCoalition(f"object {j} has no owner")
+        while owners:
+            p = owners.bit_length() - 1
+            objects.setdefault(p, []).append(j)
+            owners ^= 1 << p
+    return {p: tuple(objs) for p, objs in objects.items()}
+
+
+def _owner_shares(
+    n: int, object_owners: Sequence[int], player_objects: dict[int, tuple[int, ...]]
+) -> tuple[list[int], int]:
+    """Each player's Shapley value as an integer numerator over one scale,
+    summed over the player's objects."""
+    sizes = [mask.bit_count() for mask in object_owners]
     # in units of 1 / scale, every share 1/|S| is a whole number
-    scale = math.lcm(*{mask.bit_count() for mask in ol.owners})
-    nums = [0] * ol.n
-    for mask in ol.owners:
-        share = scale // mask.bit_count()
-        while mask:
-            low = mask & -mask
-            nums[low.bit_length() - 1] += share
-            mask ^= low
+    scale = math.lcm(*set(sizes))
+    share = [scale // size for size in sizes]
+    nums = [0] * n
+    for p, objs in player_objects.items():
+        nums[p] = sum(map(share.__getitem__, objs))
     return nums, scale
 
 
 def shapley_from_owners(ol: OwnerList) -> RationalVector:
     """Closed-form Shapley value: an equal share of each owned object."""
-    nums, scale = _owner_shares(ol)
+    nums, scale = _owner_shares(ol.n, ol.owners, _player_objects(ol.owners))
     return tuple(Fraction(x, scale) for x in nums)
 
 
@@ -105,29 +127,28 @@ class MatchingGraph:
     matchings are reproducible.  Each player is checked for a free object
     when the search reaches it, and the search ends at the first player
     that has one.  A matched object never becomes free again, so each
-    player keeps the index of its first free object, which only moves
-    forward; that object is the one a full scan would reach first.
+    player's free objects are read off one forward pass over its object
+    list; an object the pass yields is taken at once, and the next one it
+    yields is the one a full scan would reach first.  Unmatched copies
+    hold nothing and no search passes through them, so ``isv_allocation``
+    matches a player's floor copies as one batch off that pass, and only
+    the copies it leaves unmatched search.
     """
 
     def __init__(self, object_owners: Sequence[int]):
         self._object_owners = tuple(object_owners)
         self.copy_player: list[int] = []
         # each player's objects in ascending order, shared by all its copies
-        player_objects: dict[int, list[int]] = {}
-        for j, owners in enumerate(self._object_owners):
-            if not isinstance(owners, int) or owners <= 0:
-                members(owners)  # raises PlayerOutOfRange unless there is no owner
-                raise EmptySupportCoalition(f"object {j} has no owner")
-            while owners:
-                low = owners & -owners
-                player_objects.setdefault(low.bit_length() - 1, []).append(j)
-                owners ^= low
-        self._player_objects = {p: tuple(objs) for p, objs in player_objects.items()}
+        self._player_objects = _player_objects(self._object_owners)
         self.match_of_copy: list[int] = []
-        self.match_of_object: list[int] = [_FREE] * len(object_owners)
+        self.match_of_object: list[int] = [_FREE] * len(self._object_owners)
         self._dead: set[int] = set()  # players no augmenting path can enter
-        # per player, the index in its object list before which every object is held
-        self._first_free: dict[int, int] = {}
+        match = self.match_of_object
+        # per player, the pass over its objects that yields the free ones
+        self._unheld: dict[int, Iterator[int]] = {
+            p: filter(lambda obj: match[obj] == _FREE, objs)
+            for p, objs in self._player_objects.items()
+        }
 
     @property
     def objects(self) -> int:
@@ -178,14 +199,26 @@ class MatchingGraph:
         return self._augment(node)
 
     def _free_object(self, player: int) -> int:
-        # moves the player's index past held objects; the object there, if any
-        objs = self._player_objects.get(player, ())
+        # the player's next free object, which the caller takes, or _FREE
+        return next(self._unheld.get(player, iter(())), _FREE)
+
+    def _add_matched(self, player: int, units: int) -> bool:
+        """Add ``units`` copies of a player and match each in id order;
+        False once one of them finds no augmenting path.
+
+        A search from a player that still has a free object pairs the copy
+        with the next one, and unmatched copies are invisible to every
+        search, so the copies first take the player's free objects in one
+        pass and only the rest search."""
+        first = self.copies
+        taken = list(islice(self._unheld.get(player, iter(())), units))
+        self.copy_player += [player] * units
+        self.match_of_copy += taken
+        self.match_of_copy += [_FREE] * (units - len(taken))
         match = self.match_of_object
-        k = self._first_free.get(player, 0)
-        while k < len(objs) and match[objs[k]] != _FREE:
-            k += 1
-        self._first_free[player] = k
-        return objs[k] if k < len(objs) else _FREE
+        for node, obj in enumerate(taken, first):
+            match[obj] = node
+        return all(map(self._augment, range(first + len(taken), first + units)))
 
     def _augment(self, root: int) -> bool:
         # Breadth-first over players, not copies: the copies of one player
@@ -235,21 +268,18 @@ class MatchingGraph:
         whole number above every matched player."""
         out = [0] * _whole(n, "player count", 0)
         try:
-            for node, obj in enumerate(self.match_of_copy):
+            for player, obj in zip(self.copy_player, self.match_of_copy):
                 if obj != _FREE:
-                    out[self.copy_player[node]] += 1
+                    out[player] += 1
         except IndexError:
             raise InvalidRange(f"player count {_shown(n)} leaves a matched player out") from None
         return out
 
     def assignment(self) -> list[int]:
         """Owner of each object; raises ``InvalidRange`` if any object is unmatched."""
-        out = []
-        for obj, node in enumerate(self.match_of_object):
-            if node == _FREE:
-                raise InvalidRange(f"object {obj} left unallocated")
-            out.append(self.copy_player[node])
-        return out
+        if _FREE in self.match_of_object:
+            raise InvalidRange(f"object {self.match_of_object.index(_FREE)} left unallocated")
+        return list(map(self.copy_player.__getitem__, self.match_of_object))
 
 
 class AllocationResult(NamedTuple):
@@ -261,17 +291,19 @@ def isv_allocation(ol: OwnerList) -> AllocationResult:
     """Allocate every object to an owner so the per-player counts equal the
     indivisible Shapley value of the induced game.
 
-    Runs in polynomial time in the number of objects and players; the full
-    game table is never materialized.
+    Each player's floor units are matched as a batch: they take the
+    player's own free objects in ascending order, and only the units left
+    once it holds all of them search for an augmenting path; the result is
+    the one a search per unit, in player order, would give.  The remainder
+    copies then search one by one, in remainder order.  Runs in polynomial
+    time in the number of objects and players; the full game table is
+    never materialized.
     """
-    nums, scale = _owner_shares(ol)
     graph = MatchingGraph(ol.owners)
+    nums, scale = _owner_shares(ol.n, ol.owners, graph._player_objects)
     for i, num in enumerate(nums):
-        for _ in range(num // scale):
-            graph.add_copy(i)
-    matched = graph.hopcroft_karp()
-    if matched != graph.copies:
-        raise AssertionError("floor copies admit no perfect matching")
+        if not graph._add_matched(i, num // scale):
+            raise AssertionError("floor copies admit no perfect matching")
     for i in _remainder_order(nums, scale):
         if nums[i] % scale:
             graph.augment_from(graph.add_copy(i))

@@ -369,10 +369,15 @@ class SubprocessOracle(ValueOracle):
             self._replies.append(float(text))
 
     def close(self) -> None:
-        """End the session: close the child's input, reap the child (killed
-        if it has not exited 5 s later) and close its output."""
+        """End the session: close the child's input, reap the child and close
+        its output.  A child whose exchange failed, or that owes replies
+        nobody will now read, is killed at once: it may be blocked writing
+        into a full pipe.  Any other child is killed only if it has not
+        exited 5 s after its input closed."""
         proc = self._proc
         try:
+            if self._failure is not None or self._queries:
+                proc.kill()
             proc.stdin.close()
             try:
                 proc.wait(timeout=5)

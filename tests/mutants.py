@@ -166,6 +166,26 @@ MUTANTS = [
         ],
     ),
     (
+        "a floor unit with no free object of its own is dropped instead of searched",
+        MATCHING,
+        "        return all(map(self._augment, range(first + len(taken), first + units)))\n",
+        "        return True\n",
+        [
+            "tests/test_matching.py::TestIsvAllocation::test_agrees_with_reference_search",
+            "tests/test_matching.py::TestScale::test_200_players_5000_objects_assignment_is_pinned",
+        ],
+    ),
+    (
+        "the floor pass starts one object past the first free one",
+        MATCHING,
+        "islice(self._unheld.get(player, iter(())), units)",
+        "islice(self._unheld.get(player, iter(())), 1, units + 1)",
+        [
+            "tests/test_matching.py::TestIsvAllocation::test_agrees_with_reference_search",
+            "tests/test_matching.py::TestScale::test_200_players_5000_objects_assignment_is_pinned",
+        ],
+    ),
+    (
         "the convex reference walks the round-up sets in reverse",
         ISV,
         "    for ups in combinations(fractional, units - sum(floors)):\n",

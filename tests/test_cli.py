@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from indivisible import cli, sampling
 from indivisible.formats import format_game, format_owner_list
 
-from oracles import floor_half_game, sized_owner_list, two_goods_game
+from oracles import floor_half_game, sized_owner_list, two_goods_game, within
 
 ADDITIVE_SCRIPT = """\
 import sys
@@ -190,6 +191,22 @@ class TestAllocate:
         assert res.stderr == ""
         assert res.stdout.splitlines()[-1] == "total 5000"
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("human", "5cf61634076fefdfb9bb3766a21da0841af979e91e94b5999974e3d9552a56f2"),
+            ("machine", "9cffe35203ca63061eb04c396c72bf3776dd8e36d721f366b0a15b4f221bb576"),
+        ],
+    )
+    def test_200_players_1000_objects_output_is_pinned(self, tmp_path, fmt, digest):
+        # every byte: the assignment lines or trace, the counts and the total
+        path = tmp_path / "owners.txt"
+        path.write_text(format_owner_list(sized_owner_list(random.Random(449), 200, 1000)))
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(["--format", fmt, "allocate", str(path)], out, err) == 0
+        assert err.getvalue() == ""
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
 
 class TestSampling:
     def test_sample_additive_exact(self, tmp_path):
@@ -292,6 +309,29 @@ class TestExitCodes:
             assert res.returncode == 2
             assert "Traceback" not in res.stderr
             assert "oracle error" in res.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # yes fills its output pipe with replies that nobody reads
+            (["3", "--oracle", "yes", "--k", "5"], "oracle sent more replies than the 7 queries"),
+            # cat still owes the echoes of the next run when a value fails the gate
+            (["400", "--oracle", "cat", "--k", "10"], "oracle value inf for coalition mask"),
+        ],
+        ids=["failed exchange", "replies owed"],
+    )
+    def test_failed_oracle_session_ends_promptly(self, args, message):
+        with within(2):
+            res = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "indivisible.cli", "sample", *args],
+                capture_output=True,
+                text=True,
+            )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        # one line, the message alone: no ResourceWarning from the pipes or the child
+        assert res.stderr.startswith("oracle error: " + message)
+        assert res.stderr.count("\n") == 1
 
     def test_non_positive_player_count_is_one(self, tmp_path):
         cmd = oracle_command(tmp_path, ADDITIVE_SCRIPT)

@@ -306,9 +306,11 @@ class TestIsvAllocation:
                 super().__init__(object_owners)
                 graphs.append(self)
 
-            def hopcroft_karp(self):
+            def _add_matched(self, player, units):
+                # the floor pass adds one player's floor copies per call
+                matched = super()._add_matched(player, units)
                 self.floor_copies = self.copies
-                return super().hopcroft_karp()
+                return matched
 
         monkeypatch.setattr(matching, "MatchingGraph", Recorded)
         rng = random.Random(463)
