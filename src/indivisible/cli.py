@@ -19,7 +19,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 from . import formats
 from .elections import apportion_isv, coalition_game_from_regions, dhondt
@@ -67,7 +68,7 @@ class _Result(NamedTuple):
     values: object
     total: object
     trace: object = None
-    lines: list[str] | None = None
+    lines: Iterable[str] | None = None
 
 
 def _format(result: _Result, command: str, fmt: str) -> str:
@@ -165,9 +166,8 @@ def _cmd_allocate(args) -> _Result:
     allocation = isv_allocation(ol)
     values = [str(c) for c in allocation.counts]
     trace = [[j, p] for j, p in enumerate(allocation.assignment)]
-    lines = None  # the machine document prints no lines
-    if args.format == "human":
-        lines = [f"{j} -> {p}" for j, p in trace] + [f"player {i} {c}" for i, c in enumerate(values)]
+    # read only by the human form, so the machine document renders no lines
+    lines = chain((f"{j} -> {p}" for j, p in trace), (f"player {i} {c}" for i, c in enumerate(values)))
     return _Result(ol.n, values, str(sum(allocation.counts)), trace, lines)
 
 

@@ -13,10 +13,15 @@ outsiders are a step function of V: the "signposts" of divisor methods
 *Proportional Representation*, 2017).  The merged list is index 0 and
 D'Hondt ranks by (quotient, raw votes, lower index), so the list wins at
 least s seats exactly when V/s outranks the outsiders' (seats - s + 1)-th
-best quotient a/b: V*b > a*s, or V*b == a*s and V >= a.  So each region
-costs a few integer thresholds and one bisect per coalition, for up to
-2**m thresholds over m members; a region whose merged members could win
-more seats than that is read per coalition from D'Hondt instead.
+best quotient a/b: V*b > a*s, or V*b == a*s and V >= a.  D'Hondt is house
+monotone, so the thresholds are read off one D'Hondt run on the outsiders,
+continued seat by seat.  A region costs two D'Hondt runs, one on all
+members' votes, which bounds the seats any coalition can win there, and
+one on the outsiders; then one seat step per threshold and one bisect per
+coalition, for up to 2**m thresholds over m members.  A region whose
+merged members could win more seats than that is read per coalition from
+D'Hondt instead.  Every seat past a lower quota, in a run or in its
+continuation, is handed out by the one seat step ``_next_seat``.
 """
 
 from __future__ import annotations
@@ -124,21 +129,29 @@ def _dhondt(votes: Sequence[int], seats: int) -> IntVector:
     D'Hondt always grants (Balinski and Young, *Fair Representation*): every
     quotient of at least total / seats is among the winning ones, and there
     are at most seats of them, so ties cannot push one out.  The fewer than
-    len(votes) seats left are handed out one at a time, so the cost does not
-    grow with the seat count.
+    len(votes) seats left are handed out one at a time by ``_next_seat``, so
+    the cost does not grow with the seat count.
     """
     total = sum(votes)
     alloc = [v * seats // total for v in votes]
     for _ in range(seats - sum(alloc)):
-        best = 0
-        for i in range(1, len(votes)):
-            # votes[i] / (alloc[i] + 1) against the best quotient so far
-            lhs = votes[i] * (alloc[best] + 1)
-            rhs = votes[best] * (alloc[i] + 1)
-            if lhs > rhs or (lhs == rhs and votes[i] > votes[best]):
-                best = i
-        alloc[best] += 1
+        _next_seat(votes, alloc)
     return tuple(alloc)
+
+
+def _next_seat(votes: Sequence[int], alloc: list[int]) -> int:
+    """Give the next seat to the best next quotient, votes[i] / (alloc[i] + 1),
+    with ties to the larger raw vote total, then the lower index; returns the
+    party that won it."""
+    best = 0
+    for i in range(1, len(votes)):
+        # votes[i] / (alloc[i] + 1) against the best quotient so far
+        lhs = votes[i] * (alloc[best] + 1)
+        rhs = votes[best] * (alloc[i] + 1)
+        if lhs > rhs or (lhs == rhs and votes[i] > votes[best]):
+            best = i
+    alloc[best] += 1
+    return best
 
 
 def coalition_game_from_regions(
@@ -195,19 +208,21 @@ def coalition_game_from_regions(
 def _seat_thresholds(outs: Sequence[int], seats: int, most: int) -> list[int]:
     """The least merged total that wins at least s seats, for s = 1 .. ``most``.
 
-    V/s must outrank the outsiders' (seats - s + 1)-th best quotient a/b.
-    D'Hondt is house monotone, so that quotient is the one seat that
-    (seats - s + 1) seats hand the outsiders on top of (seats - s).  If every
-    outsider has 0 votes, any V > 0 wins every seat.
+    V/s must outrank the outsiders' (seats - s + 1)-th best quotient a/b,
+    which is the seat the outsiders win when their house grows from
+    seats - s to seats - s + 1.  D'Hondt is house monotone, so one run on
+    the outsiders for seats - ``most`` seats, continued seat by seat up to
+    ``seats``, reads every a/b off the seat just won, from s = ``most`` down
+    to s = 1.  If every outsider has 0 votes, any V > 0 wins every seat.
     """
     if not any(outs):
         return [1] * most
     thresholds = []
-    alloc = _dhondt(outs, seats)
-    for s in range(1, most + 1):
-        after, alloc = alloc, _dhondt(outs, seats - s)
-        a, b = next((v, n) for v, n, k in zip(outs, after, alloc) if n > k)
+    alloc = list(_dhondt(outs, seats - most))
+    for s in range(most, 0, -1):
+        won = _next_seat(outs, alloc)
+        a, b = outs[won], alloc[won]
         # V*b > a*s from a*s // b + 1 on; V = a*s / b ties, and wins iff V >= a, i.e. s >= b
         q, r = divmod(a * s, b)
         thresholds.append(q if r == 0 and s >= b else q + 1)
-    return thresholds
+    return thresholds[::-1]

@@ -7,7 +7,10 @@ table down, and then hands out the leftover units one at a time through
 remainder.  Ties in the remainder order are broken toward the lower player
 index, both when the order is built and in every scan; this is the one
 degree of freedom the construction leaves open and fixing it makes runs
-reproducible.
+reproducible.  ``_remainder_order`` is the one place that builds that
+order: it lists only the players left with a fraction, the ones that can
+round up, and the solver, the convex reference below and
+``matching.isv_allocation`` all read it as it is.
 
 A unit goes to the first player in that order whose marginal value to the
 working grand coalition is at least 1 (the upper-quota test) or, failing
@@ -22,7 +25,6 @@ reference below checks by stopping at the first core vector in that order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -67,14 +69,19 @@ class IsvResult:
 
 
 def _remainder_order(nums: Sequence[int], den: int) -> tuple[int, ...]:
-    """Players by the remainder of ``nums[i] / den``, largest first, index breaking ties."""
-    return tuple(sorted(range(len(nums)), key=lambda i: (-(nums[i] % den), i)))
+    """The players whose share ``nums[i] / den`` is not whole, by its
+    remainder, largest first, index breaking ties: the order in which every
+    solver hands out the units left over once each player has its floor."""
+    fractional = [i for i, x in enumerate(nums) if x % den]
+    return tuple(sorted(fractional, key=lambda i: (-(nums[i] % den), i)))
 
 
 def remainder_order(sv: Sequence[Fraction]) -> tuple[int, ...]:
-    """Players sorted by Shapley remainder, largest first, index breaking ties."""
+    """Players sorted by Shapley remainder, largest first, index breaking
+    ties; the players whose value is whole come last, by index."""
     table = RationalTable.of(sv)
-    return _remainder_order(table.nums, table.den)
+    order = _remainder_order(table.nums, table.den)
+    return order + tuple(sorted(set(range(len(table))).difference(order)))
 
 
 def _units(g: Game) -> int:
@@ -91,8 +98,8 @@ def _units(g: Game) -> int:
 def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
     """Integer payoff vector satisfying Efficiency and both quota bounds."""
     _units(g)
-    sv = shapley_exact(g)
-    floors = [math.floor(s) for s in sv]
+    sv = RationalTable.of(shapley_exact(g))
+    floors = [x // sv.den for x in sv.nums]
     trace: list[tuple[str, int, int]] = [(FLOOR, i, floors[i]) for i in range(g.n)]
 
     # subtract the additive floor game pointwise
@@ -100,14 +107,14 @@ def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
     floor_sums = coalition_sums([f * den for f in floors])
     cur = Game(g.n, RationalTable(map(sub, g.values.nums, floor_sums), den))
     alive = list(range(g.n))
+    order = list(_remainder_order(sv.nums, sv.den))
 
     # strip players whose Shapley value was already an integer
     for p in range(g.n):
-        if sv[p] == floors[p]:
+        if p not in order:
             cur, _ = reduced_game(cur, alive.index(p), Fraction(0))
             alive.remove(p)
             trace.append((REMOVED, p, 0))
-    order = [p for p in remainder_order(sv) if p in alive]
 
     # round the remaining table down; the table stays integer from here on
     cur = floor_values(cur)
@@ -154,7 +161,7 @@ def isv_oracle_convex(g: Game) -> IntVector:
     units = _units(g)
     sv = RationalTable.of(shapley_exact(g))
     floors = [x // sv.den for x in sv.nums]
-    fractional = [p for p in _remainder_order(sv.nums, sv.den) if sv.nums[p] % sv.den]
+    fractional = _remainder_order(sv.nums, sv.den)
     # efficiency makes the leftover a whole number from 0 to len(fractional)
     for ups in combinations(fractional, units - sum(floors)):
         cand = [f + (p in ups) for p, f in enumerate(floors)]

@@ -5,22 +5,22 @@ jointly own it.  The induced game counts the objects fully owned by a
 coalition, its Shapley value has a closed form (each owner gets an equal
 share of each owned object), and the integer payoffs can be realised as
 an actual assignment of objects to owners via bipartite matching: one
-player-node copy per guaranteed unit, all matched, then one extra copy per
-player in remainder order, kept only if an augmenting path exists.  One
-walk over the owners' bits lists each player's objects; the shares are
-summed from those lists and the matching reads them too.  Every
-augmenting path comes from one iterative breadth-first search over
-players, which ends at the first player it reaches that holds a free
-object.  A matched object is never freed again (a path only passes
-objects on between copies), so each player's free objects come from one
-forward pass over its list.  The guaranteed units are matched player by
-player: a search from a player that still holds a free object would take
-exactly that object, so a player's units take its next free objects in
-that one pass, and only the units left over search.  Shares, floors and
-remainders are integers over one common scale.  The resulting count
-vector matches the exact indivisible Shapley value of the induced game
-without ever building the full table; which owner gets each object is
-deterministic, but only the counts are the contract.
+player-node copy per guaranteed unit, all matched, then one extra copy
+per player left with a fraction, in remainder order, kept only if an
+augmenting path exists.  One walk over the owners' bits lists each
+player's objects; the shares are summed from those lists and the
+matching reads them too.  Every augmenting path comes from one iterative
+breadth-first search over players, which ends at the first player it
+reaches that holds a free object.  A matched object is never freed again
+(a path only passes objects on between copies), so each player's free
+objects come from one forward pass over its list.  The guaranteed units
+are matched player by player: a search from a player that still holds a
+free object would take exactly that object, so a player's units take its
+next free objects in that one pass, and only the units left over search.
+Shares, floors and remainders are integers over one common scale.  The
+resulting count vector matches the exact indivisible Shapley value of
+the induced game without ever building the full table; which owner gets
+each object is deterministic, but only the counts are the contract.
 """
 
 from __future__ import annotations
@@ -305,8 +305,7 @@ def isv_allocation(ol: OwnerList) -> AllocationResult:
         if not graph._add_matched(i, num // scale):
             raise AssertionError("floor copies admit no perfect matching")
     for i in _remainder_order(nums, scale):
-        if nums[i] % scale:
-            graph.augment_from(graph.add_copy(i))
+        graph.augment_from(graph.add_copy(i))
     assignment = graph.assignment()
     return AllocationResult(tuple(assignment), tuple(graph.counts(ol.n)))
 
@@ -328,11 +327,7 @@ def isv_from_dividends(n: int, dividends: Iterable[tuple[int, Fraction]]) -> Int
     for mask, d in listed.items():
         if d < 0:
             raise NegativeDividend(f"dividend of {members(mask)} is {_shown(d, str)}")
-        if d == 0:
-            continue
-        size = mask.bit_count()
-        whole = math.floor(d / size)
-        residue = d - whole * size
+        whole, residue = divmod(d, mask.bit_count())
         if residue.denominator != 1:
             raise NonIntegerResidue(
                 f"coalition {members(mask)} leaves a fractional residue {_shown(residue, str)}"

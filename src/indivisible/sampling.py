@@ -255,15 +255,18 @@ class SubprocessOracle(ValueOracle):
         return self.evaluate_many([mask])[0]
 
     def evaluate_many(self, masks: Sequence[int]) -> list[float]:
+        self._live()  # a failed session is reported before a bad mask
+        for mask in masks:
+            _check_coalition(mask, self.n, "coalition")
         return _checked(masks, self._ask(masks)())
 
     def _ask(self, masks: Sequence[int]) -> Callable[[], list]:
-        """Queue one query per mask, every mask checked first, append their
-        lines to the unsent bytes one at a time and write what the pipe
-        takes now; the completion pumps until they are answered."""
+        """Queue one query per mask, append their lines to the unsent bytes
+        one at a time and write what the pipe takes now; the completion
+        pumps until they are answered.  The masks are not checked here:
+        ``evaluate_many`` checks the masks it is given, and ``MemoOracle``
+        asks only for masks its planner built or its ``evaluate`` checked."""
         self._live()
-        for mask in masks:
-            _check_coalition(mask, self.n, "coalition")
         start = self._taken + len(self._replies) + len(self._queries)  # replies due before these
         if masks:
             if not self._queries and self._proc.poll() is not None:

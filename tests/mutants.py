@@ -61,6 +61,16 @@ MUTANTS = [
         ],
     ),
     (
+        "_remainder_order keeps a whole-valued player",
+        ISV,
+        "[i for i, x in enumerate(nums) if x % den]",
+        "list(range(len(nums)))",
+        [
+            "tests/test_isv.py::TestRemainderOrder::test_whole_values_last_by_index",
+            "tests/test_isv.py::TestLazyShapley::test_matches_reductions_reference",
+        ],
+    ),
+    (
         "each run is read before the next is asked",
         SAMPLING,
         "for complete, _ in pairwise(chain(asks, [None]))",
@@ -116,11 +126,21 @@ MUTANTS = [
     (
         "the outsider quotient rank is off by one",
         ELECTIONS,
-        "_dhondt(outs, seats - s)",
-        "_dhondt(outs, seats - s - 1)",
+        "_dhondt(outs, seats - most)",
+        "_dhondt(outs, seats - most + 1)",
         [
             "tests/test_elections.py::TestCoalitionGame::test_single_region_merged_list",
             "tests/test_elections.py::TestCoalitionGame::test_matches_dhondt_per_coalition_on_forced_ties",
+        ],
+    ),
+    (
+        "the seat step breaks an equal-quotient tie toward fewer votes",
+        ELECTIONS,
+        "(lhs == rhs and votes[i] > votes[best])",
+        "(lhs == rhs and votes[i] < votes[best])",
+        [
+            "tests/test_elections.py::TestDhondt::test_matches_quotient_enumeration_at_many_seats",
+            "tests/test_elections.py::TestCoalitionGame::test_matches_dhondt_per_coalition_at_hundreds_of_seats",
         ],
     ),
     (

@@ -22,6 +22,7 @@ from indivisible.errors import (
     NoBallots,
 )
 
+from indivisible import elections
 from oracles import coalition_game_by_dhondt, two_goods_game
 
 F = Fraction
@@ -288,6 +289,52 @@ class TestCoalitionGame:
             want = coalition_game_by_dhondt(rv, range(m), outsiders)
             assert coalition_game_from_regions(rv, range(m), outsiders) == want
         assert kinds == set(range(5)) and sides == {True, False}
+
+    def test_matches_dhondt_per_coalition_at_hundreds_of_seats(self):
+        """Regions of hundreds of seats, where the merged members can win up
+        to 2**m of them, so each region's thresholds come from hundreds of
+        seat steps past the outsiders' first run.  Votes are small multiples
+        of one unit, so equal quotients stay common at every seat."""
+        rng = random.Random(529)
+        steps = (1, 2, 3, 4, 6, 12)
+        most_seen = []
+        for _ in range(12):
+            m = rng.randint(7, 9)
+            unit = rng.randint(1, 7)
+            regions, outsiders = [], []
+            for _ in range(rng.randint(1, 2)):
+                seats = rng.randint(200, 600)
+                votes = tuple(unit * rng.choice((0, *steps)) for _ in range(m))
+                outs = tuple(unit * rng.choice(steps) for _ in range(rng.randint(1, 3)))
+                regions.append(Region(seats, votes))
+                outsiders.append(outs)
+                most = dhondt([sum(votes), *outs], seats)[0]
+                if most <= 1 << m:
+                    most_seen.append(most)
+            rv = RegionalVotes(tuple(regions))
+            want = coalition_game_by_dhondt(rv, range(m), outsiders)
+            assert coalition_game_from_regions(rv, range(m), outsiders) == want
+        assert len(most_seen) >= 6 and max(most_seen) >= 300
+
+    def test_at_most_two_dhondt_runs_per_region(self, monkeypatch):
+        calls = []
+
+        def counted(votes, seats):
+            calls.append(seats)
+            return dhondt_run(votes, seats)
+
+        dhondt_run = elections._dhondt
+        monkeypatch.setattr(elections, "_dhondt", counted)
+        regions = (Region(8, (30, 20, 10)), Region(12, (7, 9, 5)), Region(3, (1, 1, 0)))
+        outsiders = [(25, 5), (12, 12), (0,)]
+        rv = RegionalVotes(regions)
+        g = coalition_game_from_regions(rv, range(3), outsiders)
+        assert len(calls) <= 2 * len(regions)
+        monkeypatch.setattr(elections, "_dhondt", dhondt_run)
+        assert g == coalition_game_by_dhondt(rv, range(3), outsiders)
+        # every region reads 2 to 2**3 thresholds, none a run per coalition
+        mosts = [dhondt([sum(r.votes), *outs], r.seats)[0] for r, outs in zip(regions, outsiders)]
+        assert mosts == [6, 6, 3]
 
     def test_pooling_gains_seats(self):
         # two regions where separate lists waste votes against a large rival

@@ -62,7 +62,7 @@ from indivisible.errors import (
     SolverError,
     TooManyPlayers,
 )
-from indivisible.games import _whole, game_from_weights
+from indivisible.games import RationalTable, _whole, game_from_weights
 
 from oracles import (
     coalition_seats_by_dhondt,
@@ -522,6 +522,37 @@ class TestRepresentation:
             for i in members(mask):
                 expected[i] += F(d, mask.bit_count())
         assert shapley_exact(g) == tuple(expected)
+
+
+class TestRationalTable:
+    TABLE = RationalTable([0, 3, 4], 6)
+    SAME = (F(0), F(1, 2), F(2, 3))
+
+    @pytest.mark.parametrize("field", ["nums", "den", "other"])
+    def test_attributes_cannot_be_set(self, field):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(self.TABLE, field, 1)
+        assert self.TABLE.nums == (0, 3, 4) and self.TABLE.den == 6
+
+    def test_slice_is_a_tuple_of_fractions(self):
+        assert self.TABLE[1:] == (F(1, 2), F(2, 3))
+        assert self.TABLE[::-2] == (F(2, 3), F(0))
+        assert all(type(x) is Fraction for x in self.TABLE[:])
+
+    def test_equal_only_to_tables_and_tuples(self):
+        assert self.TABLE == self.SAME
+        assert self.TABLE == RationalTable([0, 6, 8], 12)  # stored over the least denominator
+        assert self.TABLE != list(self.SAME)
+        assert self.TABLE != {0, F(1, 2), F(2, 3)}
+        assert self.TABLE.__eq__(list(self.SAME)) is NotImplemented
+
+    def test_hash_agrees_with_the_equal_tuple(self):
+        assert hash(self.TABLE) == hash(self.SAME)
+        assert len({self.TABLE, self.SAME, RationalTable.of(self.SAME)}) == 1
+
+    def test_repr(self):
+        assert repr(self.TABLE) == "RationalTable([0, 3, 4], den=6)"
+        assert repr(RationalTable([2, 4], 2)) == "RationalTable([1, 2], den=1)"
 
 
 NAN, INF = float("nan"), float("inf")

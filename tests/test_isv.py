@@ -48,6 +48,20 @@ class TestRemainderOrder:
         assert remainder_order([F(7, 2), F(1, 4)]) == (0, 1)
         assert remainder_order([F(1, 4), F(7, 2)]) == (1, 0)
 
+    def test_matches_sorted_reference(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            # small denominators make whole values and tied remainders common
+            size = rng.randint(0, 9)
+            sv = [F(rng.randint(-9, 30), rng.choice((1, 2, 3, 4, 6))) for _ in range(size)]
+            want = tuple(sorted(range(len(sv)), key=lambda i: (-(sv[i] % 1), i)))
+            assert remainder_order(sv) == want, sv
+
+    def test_whole_values_last_by_index(self):
+        assert remainder_order([F(2), F(1, 3), 5, F(4, 3), F(0)]) == (1, 3, 0, 2, 4)
+        assert remainder_order([3, 1, 2]) == (0, 1, 2)
+        assert indivisible.isv._remainder_order([6, 1, 9, 0, 8], 3) == (4, 1)
+
 
 class TestIndivisibleShapley:
     def test_two_goods(self):

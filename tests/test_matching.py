@@ -113,6 +113,12 @@ class TestMatchingGraph:
         graph.add_copy(1)
         assert graph.hopcroft_karp() == 2
 
+    def test_objects_counts_every_listed_object(self):
+        assert MatchingGraph([]).objects == 0
+        graph = MatchingGraph([0b01, 0b11, 0b01])
+        graph.add_copy(0)
+        assert graph.objects == 3  # copies do not change it
+
     def test_star_saturates_single_object(self):
         graph = MatchingGraph([0b111])
         for p in range(3):
@@ -405,6 +411,11 @@ class TestIsvFromDividends:
     def test_duplicate_coalition_rejected(self):
         with pytest.raises(DuplicateCoalition):
             isv_from_dividends(2, [(0b11, F(2)), (0b01, F(1)), (0b11, F(2))])
+
+    def test_zero_dividend_pays_nothing(self):
+        assert isv_from_dividends(2, [(0b11, F(0))]) == (0, 0)
+        with_zero = isv_from_dividends(3, [(0b011, F(0)), (0b111, F(4)), (0b100, F(0))])
+        assert with_zero == isv_from_dividends(3, [(0b111, F(4))]) == (2, 1, 1)
 
     def test_whole_dividend_no_residue(self):
         assert isv_from_dividends(2, [(0b11, F(6))]) == (3, 3)

@@ -469,6 +469,17 @@ class TestSubprocessOracle:
                 oracle.evaluate_many([0b011, 0b1000])
             assert oracle.evaluate_many([0b101]) == [5.0]  # no reply left behind
 
+    def test_failed_session_is_reported_before_a_bad_mask(self, deadline):
+        child = python_child("for line in sys.stdin:\n    print('abc')\n")
+        with SubprocessOracle(child, 3) as oracle:
+            with pytest.raises(ProtocolViolation):
+                oracle.evaluate(0b001)
+            # PlayerOutOfRange is not an OracleFailure
+            with pytest.raises(OracleFailure, match="session ended"):
+                oracle.evaluate_many([0b011, 0b1000])
+            with pytest.raises(OracleFailure, match="session ended"):
+                oracle.evaluate(0b1000)
+
     @pytest.mark.parametrize(
         "n, estimator", [(2000, sample_shapley), (64, sample_shapley_matrix)]
     )
