@@ -1,16 +1,16 @@
 """The indivisible Shapley value: integer payoffs via iterated reductions.
 
-The solver assigns every player the floor of their Shapley value, strips
-exactly-integer players out through 0-reductions, rounds the remaining
-table down, and then hands out the leftover units one at a time through
-1-reductions, always scanning players in decreasing order of their Shapley
-remainder.  Ties in the remainder order are broken toward the lower player
-index, both when the order is built and in every scan; this is the one
-degree of freedom the construction leaves open and fixing it makes runs
-reproducible.  ``_remainder_order`` is the one place that builds that
-order: it lists only the players left with a fraction, the ones that can
-round up, and the solver, the convex reference below and
-``matching.isv_allocation`` all read it as it is.
+The solver assigns every player the floor of their Shapley value, rounds
+the table down once and subtracts those floors, strips the players whose
+value is whole out through 0-reductions, and then hands out the leftover
+units one at a time through 1-reductions, always scanning players in
+decreasing order of their Shapley remainder.  Ties in the remainder order
+are broken toward the lower player index, both when the order is built and
+in every scan; this is the one degree of freedom the construction leaves
+open and fixing it makes runs reproducible.  ``_remainder_order`` is the
+one place that builds that order: it lists only the players left with a
+fraction, the ones that can round up, and the solver, the convex reference
+below and ``matching.isv_allocation`` all read it as it is.
 
 A unit goes to the first player in that order whose marginal value to the
 working grand coalition is at least 1 (the upper-quota test) or, failing
@@ -59,8 +59,8 @@ class IsvResult:
     Trace events are ``(kind, player, amount)`` with the original player
     index; summing the amounts per player reproduces ``payoffs``.  When
     built with ``record_games=True``, ``games`` holds the working game
-    after the value-floor step and after every reduction, each tagged with
-    the original labels of its surviving players.
+    once the whole-valued players are removed and after every grant, each
+    tagged with the original labels of its surviving players.
     """
 
     payoffs: IntVector
@@ -102,10 +102,10 @@ def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
     floors = [x // sv.den for x in sv.nums]
     trace: list[tuple[str, int, int]] = [(FLOOR, i, floors[i]) for i in range(g.n)]
 
-    # subtract the additive floor game pointwise
-    den = g.values.den
-    floor_sums = coalition_sums([f * den for f in floors])
-    cur = Game(g.n, RationalTable(map(sub, g.values.nums, floor_sums), den))
+    # round once and subtract the whole floor game F: floor(v - F) = floor(v) - F,
+    # and a 0-reduction keeps v(N) and takes max(v(S), v(S + i)) elsewhere, so
+    # with floor(max(a, b)) = max(floor(a), floor(b)) rounding first changes nothing
+    cur = Game(g.n, RationalTable(map(sub, floor_values(g).values.nums, coalition_sums(floors))))
     alive = list(range(g.n))
     order = list(_remainder_order(sv.nums, sv.den))
 
@@ -116,8 +116,6 @@ def indivisible_shapley(g: Game, *, record_games: bool = False) -> IsvResult:
             alive.remove(p)
             trace.append((REMOVED, p, 0))
 
-    # round the remaining table down; the table stays integer from here on
-    cur = floor_values(cur)
     games_log = [(tuple(alive), cur)] if record_games else None
 
     payoffs = floors

@@ -172,8 +172,12 @@ class MemoOracle(ValueOracle):
         self._flight: set[int] = set()  # asked of the wrapped oracle, not cached yet
 
     def evaluate(self, mask: int) -> float:
-        _check_coalition(mask, self.n, "coalition")
-        return self._ask([mask])()[0]
+        return self.evaluate_many([mask])[0]
+
+    def evaluate_many(self, masks: Sequence[int]) -> list[float]:
+        for mask in masks:
+            _check_coalition(mask, self.n, "coalition")
+        return self._ask(masks)()
 
     def _ask(self, masks: Sequence[int]) -> Callable[[], list]:
         """Ask the wrapped oracle, in one batch, for each of ``masks`` that is
@@ -265,7 +269,7 @@ class SubprocessOracle(ValueOracle):
         one at a time and write what the pipe takes now; the completion
         pumps until they are answered.  The masks are not checked here:
         ``evaluate_many`` checks the masks it is given, and ``MemoOracle``
-        asks only for masks its planner built or its ``evaluate`` checked."""
+        asks only for masks its planner built or its ``evaluate_many`` checked."""
         self._live()
         start = self._taken + len(self._replies) + len(self._queries)  # replies due before these
         if masks:

@@ -51,6 +51,26 @@ MUTANTS = [
         ],
     ),
     (
+        "the working game is not rounded",
+        ISV,
+        "floor_values(g).values.nums",
+        "g.values.nums",
+        [
+            "tests/test_isv.py::TestRoundOnce::test_whole_valued_players_match_the_reductions_reference",
+            "tests/test_isv.py::TestLazyShapley::test_matches_reductions_reference",
+        ],
+    ),
+    (
+        "the floor game leaves out the last player",
+        ISV,
+        "coalition_sums(floors)",
+        "coalition_sums(floors[:-1] + [0])",
+        [
+            "tests/test_isv.py::TestRoundOnce::test_whole_valued_players_match_the_reductions_reference",
+            "tests/test_isv.py::TestLazyShapley::test_matches_reductions_reference",
+        ],
+    ),
+    (
         "remainder ties go to the higher index",
         ISV,
         "key=lambda i: (-(nums[i] % den), i)",

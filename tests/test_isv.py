@@ -6,6 +6,7 @@ import pytest
 
 import indivisible.isv
 from indivisible import (
+    Game,
     coalition,
     game_linear,
     harsanyi_dividends,
@@ -20,6 +21,7 @@ from indivisible import (
     unanimity_game,
 )
 from indivisible.errors import EmptyFeasibleSet, LengthMismatch, NotIndivisible, SolverError
+from indivisible.games import floor_values, reduced_game
 
 from oracles import (
     floor_half_game,
@@ -181,6 +183,59 @@ class TestLazyShapley:
             assert indivisible_shapley(g, record_games=True) == isv_by_reductions(
                 g, record_games=True
             )
+
+
+def with_whole_player(g: Game, k: int, c: int) -> Game:
+    """``g`` with a player inserted at index ``k`` who adds ``c`` to every
+    coalition it joins, so its Shapley value is the whole number ``c``."""
+    low = (1 << k) - 1
+    return Game(
+        g.n + 1,
+        [g.values[(m & low) | (m >> (k + 1) << k)] + c * (m >> k & 1) for m in range(2 << g.n)],
+    )
+
+
+class TestRoundOnce:
+    """The solver rounds the game down before its 0-reductions; the
+    reductions reference rounds after them.  The orders agree because a
+    0-reduction keeps v(N) and takes maxima of entries elsewhere."""
+
+    def test_rounding_commutes_with_a_zero_reduction(self):
+        negative = fractional = above_grand = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n, den = 1 + seed % 6, rng.choice([1, 2, 3, 4, 6, 7])
+            values = [F(0)] + [
+                F(rng.randint(-4 * den, 4 * den), rng.choice([1, den])) for _ in range(1, 1 << n)
+            ]
+            if n == 1:
+                values[1] = F(0)  # a lone player is reduced by 0 only from a game worth 0
+            g = Game(n, values)
+            negative += min(values) < 0
+            fractional += g.values.den > 1
+            above_grand += any(values[g.full ^ (1 << i)] > values[g.full] for i in range(n))
+            for i in range(n):
+                rounded_after = floor_values(reduced_game(g, i, F(0)).game)
+                assert rounded_after == reduced_game(floor_values(g), i, F(0)).game
+        assert min(negative, fractional, above_grand) > 100
+
+    def test_whole_valued_players_match_the_reductions_reference(self):
+        removals = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            g = random_fractional_game(rng, 1 + seed % 5, rng.choice([2, 3, 4]))
+            for _ in range(1 + seed % 2):
+                g = with_whole_player(g, rng.randint(0, g.n), rng.randint(-1, 3))
+            try:
+                expected = isv_by_reductions(g, record_games=True)
+            except SolverError as exc:
+                with pytest.raises(type(exc)) as caught:
+                    indivisible_shapley(g, record_games=True)
+                assert str(caught.value) == str(exc)
+            else:
+                assert indivisible_shapley(g, record_games=True) == expected
+                removals += sum(kind == "removed" for kind, _, _ in expected.trace)
+        assert removals > 100
 
 
 class TestConvexProperties:

@@ -345,6 +345,46 @@ class TestMemoization:
         assert oracle.evaluate(0b001) == 1.0
         assert oracle._memo == {0b001: 1.0}
 
+    class Asking(FunctionOracle):
+        """Records every batch the memo asks of it."""
+
+        def __init__(self, n, fn):
+            super().__init__(n, fn)
+            self.asks = []
+
+        def _ask(self, masks):
+            self.asks.append(list(masks))
+            return super()._ask(masks)
+
+    def test_batch_is_one_ask(self):
+        inner = self.Asking(11, lambda mask: float(mask.bit_count()))
+        masks = list(range(1, 2001))
+        assert memoized(inner).evaluate_many(masks) == [float(m.bit_count()) for m in masks]
+        assert inner.asks == [masks]
+
+    def test_batch_asks_each_new_mask_once(self):
+        inner = self.Asking(3, lambda mask: float(mask))
+        oracle = memoized(inner)
+        assert oracle.evaluate(0b100) == 4.0
+        values = oracle.evaluate_many([0b011, 0b100, 0b001, 0b011, 0, 0b001])
+        assert values == [3.0, 4.0, 1.0, 3.0, 0.0, 1.0]
+        assert inner.asks == [[0b100], [0b011, 0b001, 0]]
+
+    @pytest.mark.parametrize("bad", [0b1000, -1, 1.0])
+    def test_bad_mask_in_a_batch_is_rejected_before_any_ask(self, bad):
+        inner = self.Asking(3, lambda mask: float(mask))
+        with pytest.raises(PlayerOutOfRange):
+            memoized(inner).evaluate_many([0b011, bad])
+        assert inner.asks == []
+
+    def test_nan_in_a_batch_is_a_protocol_violation(self):
+        inner = self.Asking(3, lambda mask: float("nan") if mask == 0b010 else 1.0)
+        oracle = memoized(inner)
+        with pytest.raises(ProtocolViolation):
+            oracle.evaluate_many([0b001, 0b010, 0b100])
+        assert inner.asks == [[0b001, 0b010, 0b100]]
+        assert oracle._memo == {} and not oracle._flight  # the batch is checked whole
+
     def test_estimates_unchanged_by_memo(self):
         g = two_goods_game()
         direct = sample_shapley(TableOracle(g), SamplerConfig(samples=500, seed=11))
@@ -439,6 +479,29 @@ class TestSubprocessOracle:
         oracle.close()
         assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
         assert oracle._proc.returncode is not None
+
+    def test_child_that_ignores_end_of_input_is_killed_at_close(self, deadline, monkeypatch):
+        # the grace period is not waited out: a wait with a timeout expires at once
+        waits, wait = [], subprocess.Popen.wait
+
+        def impatient(proc, timeout=None):
+            waits.append(timeout)
+            if timeout is not None:
+                raise subprocess.TimeoutExpired(proc.args, timeout)
+            return wait(proc)
+
+        child = python_child("print(sys.stdin.readline().count('1'))\ntime.sleep(60)\n")
+        with SubprocessOracle(child, 2) as oracle:
+            assert oracle.evaluate(0b11) == 2.0
+            monkeypatch.setattr(subprocess.Popen, "wait", impatient)
+        assert waits == [5, None]  # 5 s of grace, then a kill and a reap
+        assert oracle._proc.returncode == -signal.SIGKILL
+        assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
+
+    def test_child_that_exits_at_end_of_input_is_not_killed(self, deadline):
+        with SubprocessOracle(ADDITIVE_CHILD, 2) as oracle:
+            assert oracle.evaluate(0b11) == 3.0
+        assert oracle._proc.returncode == 0
 
     @pytest.mark.parametrize("n", [1, 24, 64])
     def test_query_string_encodes_mask(self, n):
